@@ -16,6 +16,8 @@ distance from the origin give the d_min / d_avg / d_max deviations.
 The same unitary solutions pull back to observable space as the non-unitary
 transform T_C = (Omega W_g)^-1 C W_f, with Omega the diagonal that brings
 T_C as close as possible to the plain least squares map T_LSQ = Psi_g Psi_f+.
+W is invertible and C unitary, so (C W_f)^-1 = R_f C* with R = W^-1: each
+system's W is inverted once and every later step is a matrix product.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .koopman import EigenfunctionTrajectory, KoopmanModel, reconstruct_observables
+from .koopman import EigenfunctionTrajectory, KoopmanModel
 from .linalg import pinv, svd, unitarity_defect
 
 UNITARY_TOL = 1e-8
@@ -139,53 +141,48 @@ def solve_c_r1(phi_f, phi_g) -> np.ndarray:
 def _assignment(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost assignment on a square cost matrix, O(n^3).
 
-    Shortest augmenting path formulation with dual potentials. Strict
-    less-than comparisons make the scan order (hence tie-breaking) fixed:
-    among equal-cost alternatives the lowest column index encountered first
-    wins, so results are deterministic.
+    Shortest augmenting path formulation with dual potentials, updated once
+    per augmentation from the length at which each column was settled
+    (Crouse 2016, "On implementing 2D rectangular assignment algorithms").
+    Strict less-than comparisons make the scan order (hence tie-breaking)
+    fixed: among equal-cost alternatives the lowest column index encountered
+    first wins, so results are deterministic.
     """
     n = cost.shape[0]
-    # 1-based columns; column 0 is the virtual root of each augmenting path.
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    assigned_row = np.zeros(n + 1, dtype=int)
-    parent = np.zeros(n + 1, dtype=int)
-    padded = np.empty((n + 1, n + 1))
-    padded[1:, 1:] = cost
-    for i in range(1, n + 1):
-        assigned_row[0] = i
-        j0 = 0
-        min_reduced = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = assigned_row[j0]
-            free = ~used
-            free[0] = False
-            reduced = padded[i0, free] - u[i0] - v[free]
-            idx = np.flatnonzero(free)
-            better = reduced < min_reduced[idx]
-            if np.any(better):
-                upd = idx[better]
-                min_reduced[upd] = reduced[better]
-                parent[upd] = j0
-            pos = int(np.argmin(min_reduced[idx]))
-            delta = min_reduced[idx][pos]
-            j1 = int(idx[pos])
-            u[assigned_row[used]] += delta
-            v[used] -= delta
-            min_reduced[~used] -= delta
-            j0 = j1
-            if assigned_row[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = parent[j0]
-            assigned_row[j0] = assigned_row[j1]
-            j0 = j1
-    match = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        match[assigned_row[j] - 1] = j - 1
-    return match
+    u = np.zeros(n)
+    v = np.zeros(n)
+    row_of_col = np.full(n, -1)
+    col_of_row = np.full(n, -1)
+    parent = np.empty(n, dtype=int)
+    settled = np.empty(n)
+    for start in range(n):
+        # Reduced path lengths relative to the last settled one; inf once settled.
+        min_reduced = np.full(n, np.inf)
+        remaining = np.ones(n, dtype=bool)
+        i, total = start, 0.0
+        while i >= 0:
+            reduced = cost[i] - u[i] - v
+            better = remaining & (reduced < min_reduced)
+            min_reduced[better] = reduced[better]
+            parent[better] = i
+            j = int(np.argmin(min_reduced))
+            delta = min_reduced[j]
+            total += delta
+            min_reduced -= delta
+            min_reduced[j] = np.inf
+            remaining[j] = False
+            settled[j] = total
+            i = row_of_col[j]
+        done = ~remaining
+        scanned = np.flatnonzero(done & (row_of_col >= 0))
+        u[start] += total
+        u[row_of_col[scanned]] += total - settled[scanned]
+        v[done] -= total - settled[done]
+        while i != start:
+            i = parent[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+    return col_of_row
 
 
 def solve_permutation(lambdas_f, lambdas_g) -> np.ndarray:
@@ -300,8 +297,7 @@ def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
     """
     a_lo, a_hi = corners.r1_at_cr1, corners.r1_at_cr2
     b_lo, b_hi = corners.r2_at_cr2, corners.r2_at_cr1
-    d_max = float(np.hypot(a_hi, b_hi))
-    tol = DOMINANCE_TOL * max(1.0, d_max)
+    tol = DOMINANCE_TOL * max(1.0, float(np.hypot(a_hi, b_hi)))
     if a_lo > a_hi + tol or b_lo > b_hi + tol:
         raise ContractViolationError(
             "corner dominance violated: "
@@ -311,6 +307,7 @@ def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
     a_hi = max(a_hi, a_lo)
     b_hi = max(b_hi, b_lo)
     d_min = float(np.hypot(a_lo, b_lo))
+    d_max = float(np.hypot(a_hi, b_hi))
     width_flat = (a_hi - a_lo) <= DEGENERATE_RECT_TOL * d_max
     height_flat = (b_hi - b_lo) <= DEGENERATE_RECT_TOL * d_max
     if width_flat and height_flat:
@@ -345,23 +342,29 @@ def recover_t(
 
     T_C = (Omega W_g)^-1 C W_f, where the diagonal Omega resolves the scale
     freedom of the left eigenvectors by matching the least squares transform:
-    Omega^-1 = Diag(W_g T_LSQ (C W_f)+). Near-zero diagonal entries carry no
+    Omega^-1 = Diag(W_g T_LSQ (C W_f)^-1), and (C W_f)^-1 = R_f C* exactly
+    for R = W^-1 and unitary C. Near-zero diagonal entries carry no
     information and are replaced by 1 (with a warning).
     """
     c = np.asarray(c, dtype=complex)
     if t_lsq is None:
         t_lsq = lsq_transform(psi_f, psi_g)
-    cwf = c @ model_f.W
-    omega_inv = np.diag(model_g.W @ t_lsq @ pinv(cwf)).copy()
+    m = model_g.W @ t_lsq @ np.linalg.inv(model_f.W)
+    return _pull_back(c, m, model_f.W, np.linalg.inv(model_g.W))
+
+
+def _pull_back(c, m, w_f, r_g) -> np.ndarray:
+    """T_C = R_g Omega^-1 C W_f with Omega^-1 = Diag(M C*), M = W_g T_LSQ R_f."""
+    omega_inv = np.einsum("ij,ij->i", m, c.conj())
     tiny = np.abs(omega_inv) < OMEGA_ZERO_TOL
     if np.any(tiny):
         warnings.warn(
             f"{int(tiny.sum())} scale entries below {OMEGA_ZERO_TOL:.0e} replaced by 1",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         omega_inv[tiny] = 1.0
-    return np.linalg.solve(model_g.W, omega_inv[:, None] * cwf)
+    return r_g @ (omega_inv[:, None] * (c @ w_f))
 
 
 def _psi_space_residuals(t, k_f, k_g, psi_f, psi_g) -> tuple[float, float]:
@@ -424,18 +427,14 @@ def compare(
     )
     deviations = pareto_deviations(corners)
 
-    if isinstance(phi_f, EigenfunctionTrajectory):
-        psi_f_mat = reconstruct_observables(model_f, phi_f)
-    else:
-        psi_f_mat = np.linalg.solve(model_f.W, pf / model_f.scales[:, None])
-    if isinstance(phi_g, EigenfunctionTrajectory):
-        psi_g_mat = reconstruct_observables(model_g, phi_g)
-    else:
-        psi_g_mat = np.linalg.solve(model_g.W, pg / model_g.scales[:, None])
-
+    # Psi = R diag(1/scales) Phi; a trajectory carries the scales it was built with.
+    r_f, r_g = np.linalg.inv(model_f.W), np.linalg.inv(model_g.W)
+    psi_f_mat = r_f @ (pf / getattr(phi_f, "scales", model_f.scales)[:, None])
+    psi_g_mat = r_g @ (pg / getattr(phi_g, "scales", model_g.scales)[:, None])
     t_lsq = lsq_transform(psi_f_mat, psi_g_mat)
-    t_c1 = recover_t(c1, model_f, model_g, psi_f_mat, psi_g_mat, t_lsq=t_lsq)
-    t_c2 = recover_t(c2, model_f, model_g, psi_f_mat, psi_g_mat, t_lsq=t_lsq)
+    m = model_g.W @ t_lsq @ r_f
+    t_c1 = _pull_back(c1, m, model_f.W, r_g)
+    t_c2 = _pull_back(c2, m, model_f.W, r_g)
     residuals = {
         "T_C_r1": _psi_space_residuals(t_c1, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
         "T_C_r2": _psi_space_residuals(t_c2, model_f.K, model_g.K, psi_f_mat, psi_g_mat),

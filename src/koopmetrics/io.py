@@ -19,7 +19,7 @@ import csv
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +82,9 @@ def decode_complex(pairs, shape) -> np.ndarray:
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a same-directory temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    # Mode 0666 less the umask, as open() would give; the mode survives the rename.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -134,34 +136,41 @@ def load_model(path: str) -> ModelRecord:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-    version = doc.get("schemaVersion")
+    version = doc.get("schemaVersion") if isinstance(doc, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise FileFormatError(
             f"{path}: schema version {version} unsupported (expected {MODEL_SCHEMA_VERSION})"
         )
-    n = int(doc["nPsi"])
-    model = KoopmanModel(
-        K=decode_complex(doc["K"], (n, n)),
-        lambdas=decode_complex(doc["Lambda"], (n,)),
-        W=decode_complex(doc["W"], (n, n)),
-        scales=np.array(doc["scales"], dtype=float),
-        eig_condition=float(doc["eigCondition"]),
-        ridge=float(doc["ridge"]),
-        dt=float(doc["dt"]),
-    )
-    layout = doc["layout"]
-    theta = layout.get("theta")
-    return ModelRecord(
-        model=model,
-        names=tuple(layout["names"]),
-        has_constant=bool(layout["hasConstant"]),
-        n_primary=int(layout["nPrimary"]),
-        aux_enabled=bool(layout["aux"]),
-        theta=tuple(theta) if theta is not None else None,
-        phi0=decode_complex(doc["phi0"], (n,)),
-        n_steps=int(doc["nSteps"]),
-        spectrum_kind=doc.get("spectrumKind", "discrete"),
-    )
+    try:
+        n = int(doc["nPsi"])
+        model = KoopmanModel(
+            K=decode_complex(doc["K"], (n, n)),
+            lambdas=decode_complex(doc["Lambda"], (n,)),
+            W=decode_complex(doc["W"], (n, n)),
+            scales=np.array(doc["scales"], dtype=float).reshape(n),
+            eig_condition=float(doc["eigCondition"]),
+            ridge=float(doc["ridge"]),
+            dt=float(doc["dt"]),
+        )
+        layout = doc["layout"]
+        theta = layout.get("theta")
+        record = ModelRecord(
+            model=model,
+            names=tuple(layout["names"]),
+            has_constant=bool(layout["hasConstant"]),
+            n_primary=int(layout["nPrimary"]),
+            aux_enabled=bool(layout["aux"]),
+            theta=tuple(theta) if theta is not None else None,
+            phi0=decode_complex(doc["phi0"], (n,)),
+            n_steps=int(doc["nSteps"]),
+            spectrum_kind=doc.get("spectrumKind", "discrete"),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FileFormatError(f"{path}: missing or malformed field ({exc!r})") from None
+    arrays = (model.K, model.lambdas, model.W, model.scales, record.phi0)
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise FileFormatError(f"{path}: non-finite entries in model arrays")
+    return record
 
 
 def save_report(report_doc: dict, path: str) -> None:

@@ -147,6 +147,19 @@ class TestCompare:
         assert "dimensions differ" in capsys.readouterr().err
 
 
+    def test_model_missing_key_is_usage_error(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        save_benchmark_model(good, BenchmarkParams(steps=100), "f")
+        doc = json.loads(good.read_text())
+        del doc["K"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["compare", "--model-a", str(good), "--model-b", str(bad),
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'K'" in err and "Traceback" not in err
+
 class TestBenchmarkSweep:
     def test_single_conjugate_point(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -7,6 +7,7 @@ import pytest
 from koopmetrics.conjugacy import (
     ContractViolationError,
     ParetoCorners,
+    _assignment,
     assignment_cost,
     compare,
     lsq_transform,
@@ -107,6 +108,96 @@ class TestSolvePermutation:
                 for p in itertools.permutations(range(n))
             )
             assert assignment_cost(lf, lg, pi) == pytest.approx(best, abs=1e-12)
+
+
+def reference_assignment(cost):
+    """The eager-dual assignment solver this package shipped first, kept verbatim."""
+    n = cost.shape[0]
+    # 1-based columns; column 0 is the virtual root of each augmenting path.
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    assigned_row = np.zeros(n + 1, dtype=int)
+    parent = np.zeros(n + 1, dtype=int)
+    padded = np.empty((n + 1, n + 1))
+    padded[1:, 1:] = cost
+    for i in range(1, n + 1):
+        assigned_row[0] = i
+        j0 = 0
+        min_reduced = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = assigned_row[j0]
+            free = ~used
+            free[0] = False
+            reduced = padded[i0, free] - u[i0] - v[free]
+            idx = np.flatnonzero(free)
+            better = reduced < min_reduced[idx]
+            if np.any(better):
+                upd = idx[better]
+                min_reduced[upd] = reduced[better]
+                parent[upd] = j0
+            pos = int(np.argmin(min_reduced[idx]))
+            delta = min_reduced[idx][pos]
+            j1 = int(idx[pos])
+            u[assigned_row[used]] += delta
+            v[used] -= delta
+            min_reduced[~used] -= delta
+            j0 = j1
+            if assigned_row[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = parent[j0]
+            assigned_row[j0] = assigned_row[j1]
+            j0 = j1
+    match = np.empty(n, dtype=int)
+    for j in range(1, n + 1):
+        match[assigned_row[j] - 1] = j - 1
+    return match
+
+
+def random_spectrum(rng, n):
+    return rng.uniform(0.3, 0.98, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def squared_distances(lf, lg):
+    return np.abs(lf[:, None] - lg[None, :]) ** 2
+
+
+class TestAssignmentMatchesReference:
+    """Same permutation as the reference, ties included, not just the same cost."""
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_random_spectra(self, rng, n):
+        cost = squared_distances(random_spectrum(rng, n), random_spectrum(rng, n))
+        np.testing.assert_array_equal(_assignment(cost), reference_assignment(cost))
+
+    def test_integer_tie_heavy_costs(self, rng):
+        for _ in range(500):
+            n = int(rng.integers(2, 10))
+            cost = rng.integers(0, 4, (n, n)).astype(float)
+            np.testing.assert_array_equal(_assignment(cost), reference_assignment(cost))
+
+    def test_conjugate_pair_and_repeated_spectra(self, rng):
+        for trial in range(300):
+            half = random_spectrum(rng, int(rng.integers(1, 6)))
+            if trial % 3 == 0:  # dyadic grid: every sum in the solver is exact
+                half = np.round(8 * half.real) / 8 + 1j * np.round(8 * half.imag) / 8
+            lf = np.concatenate([half, half.conj(), half[:1], half[:1]])
+            lg = rng.permutation(lf)
+            if trial % 3 == 1:
+                lg = lg + 1e-3 * rng.standard_normal(lg.shape)
+            cost = squared_distances(lf, lg)
+            np.testing.assert_array_equal(_assignment(cost), reference_assignment(cost))
+
+    def test_optimal_cost_against_scipy(self, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        costs = [squared_distances(random_spectrum(rng, 300), random_spectrum(rng, 300))]
+        costs += [rng.integers(0, 4, (9, 9)).astype(float) for _ in range(50)]
+        for cost in costs:
+            rows, cols = optimize.linear_sum_assignment(cost)
+            ours = cost[np.arange(cost.shape[0]), _assignment(cost)].sum()
+            assert ours == pytest.approx(cost[rows, cols].sum(), rel=1e-12, abs=1e-12)
 
 
 class TestSolveGamma:
@@ -248,6 +339,11 @@ class TestParetoDeviations:
         with pytest.raises(ContractViolationError, match="dominance"):
             pareto_deviations(corners_from(1.0, 0.2, 0.5, 0.1))
 
+    def test_order_exact_when_rounding_inverts_corners(self):
+        # r1(C_r1) a hair above r1(C_r2): the clamp must also reach d_max.
+        devs = pareto_deviations(corners_from(0.5 + 1e-13, 0.3, 0.5, 0.3))
+        assert devs.d_min <= devs.d_avg <= devs.d_max
+
     def test_ordering_always_holds(self, rng):
         for _ in range(50):
             a_lo, b_lo = rng.uniform(0.0, 1.0, 2)
@@ -375,3 +471,44 @@ class TestPsiSpace:
         model, phi = lifted_system(k, psi)
         t = recover_t(np.eye(4), model, model, psi, psi)
         np.testing.assert_allclose(t, np.eye(4), atol=1e-8)
+
+    @pytest.mark.parametrize("n_steps", [25, 80])
+    def test_transforms_match_pseudoinverse_formula(self, rng, n_steps):
+        # n = 40 observables: T < n makes T_LSQ rank-deficient, T > n does not.
+        n = 40
+        model_f, phi_f = random_system(rng, n, n_steps, radius=0.98)
+        model_g, phi_g = random_system(rng, n, n_steps, radius=0.98)
+        report = compare(model_f, phi_f, model_g, phi_g, "f")
+
+        # T_C = (Omega W_g)^-1 C W_f with Omega^-1 = Diag(W_g T_LSQ pinv(C W_f)).
+        psi_f = np.linalg.solve(model_f.W, phi_f.phi / phi_f.scales[:, None])
+        psi_g = np.linalg.solve(model_g.W, phi_g.phi / phi_g.scales[:, None])
+        t_lsq = psi_g @ pinv(psi_f)
+
+        def pull_back(c):
+            cwf = c @ model_f.W
+            omega_inv = np.diag(model_g.W @ t_lsq @ pinv(cwf))
+            return np.linalg.solve(model_g.W, omega_inv[:, None] * cwf)
+
+        cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
+        tol = n * np.finfo(float).eps * cond
+        corners = report.corners
+        for got, want in (
+            (report.t_lsq, t_lsq),
+            (report.t_c_r1, pull_back(corners.c_r1)),
+            (report.t_c_r2, pull_back(corners.c_r2)),
+            (recover_t(corners.c_r1, model_f, model_g, psi_f, psi_g), pull_back(corners.c_r1)),
+        ):
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+        # Corners and deviations come before any pull-back and stay bit-identical.
+        c2, pi, _ = solve_c_r2(phi_f, phi_g, model_f.lambdas, model_g.lambdas)
+        np.testing.assert_array_equal(corners.permutation, pi)
+        np.testing.assert_array_equal(corners.c_r2, c2)
+        phi_norm, lam_norm = np.linalg.norm(phi_f.phi), np.linalg.norm(model_f.lambdas)
+        c1 = solve_c_r1(phi_f, phi_g)
+        assert corners.r1_at_cr1 == residual_r1(phi_f, phi_g, c1) / phi_norm
+        assert corners.r2_at_cr1 == residual_r2(model_f.lambdas, model_g.lambdas, c1) / lam_norm
+        assert corners.r1_at_cr2 == residual_r1(phi_f, phi_g, c2) / phi_norm
+        assert corners.r2_at_cr2 == residual_r2(model_f.lambdas, model_g.lambdas, c2) / lam_norm
+        assert report.deviations == pareto_deviations(corners)

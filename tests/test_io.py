@@ -65,6 +65,37 @@ class TestModelFile:
         with pytest.raises(FileFormatError, match="schema"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("K"),
+            lambda doc: doc["layout"].pop("names"),
+            lambda doc: doc["W"].pop(),
+            lambda doc: doc.update(scales=doc["scales"][:-1]),
+            lambda doc: doc.update(Lambda=[["x", 0.0]] * 4),
+            lambda doc: doc["Lambda"][0].__setitem__(0, float("nan")),
+            lambda doc: doc["phi0"][1].__setitem__(1, float("inf")),
+        ],
+        ids=["no-K", "no-names", "short-W", "short-scales", "text-entry", "nan", "inf"],
+    )
+    def test_malformed_model_is_a_format_error(self, record, tmp_path, edit):
+        path = str(tmp_path / "model.json")
+        save_model(record, path)
+        doc = json.load(open(path))
+        edit(doc)
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(FileFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_written_files_follow_umask(self, record, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            save_model(record, str(tmp_path / "model.json"))
+        finally:
+            os.umask(previous)
+        assert os.stat(tmp_path / "model.json").st_mode & 0o777 == mode
+
     def test_no_temp_files_left(self, record, tmp_path):
         save_model(record, str(tmp_path / "model.json"))
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
