@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,6 +91,11 @@ def cmd_identify(args) -> int:
     )
     model = decompose(k, obs.dt, ridge)
     phi = eigenfunction_trajectories(model, obs)
+    if not np.any(k.imag):
+        # Real data give a real K, but complex arithmetic leaves some of its
+        # zero imaginary parts as -0.0; with every sign cleared the model file
+        # stores K as float64 and still loads it back bit for bit.
+        model = replace(model, K=k.real.astype(complex))
     record = io.ModelRecord(
         model=model,
         names=obs.names,
@@ -100,6 +106,7 @@ def cmd_identify(args) -> int:
         phi0=phi.phi[:, 0].copy(),
         n_steps=obs.n_steps,
         spectrum_kind="discrete",
+        one_step_residual=residual,
     )
     io.save_model(record, args.output)
     mods = np.abs(model.lambdas)
@@ -221,7 +228,14 @@ def cmd_hopping(args) -> int:
         except ValueError:
             raise UsageFailure(f"--set {key}: non-numeric value {value!r}")
 
-    reference = None
+    try:
+        cfg = hopper.HopperConfig(
+            dt=args.dt, steps=args.steps, actuator=actuator, params=overrides
+        )
+        cfg.actuator_params()  # rejects unknown --set keys
+    except ValueError as exc:
+        raise UsageFailure(str(exc))
+
     if actuator is hopper.Actuator.DC_MOTOR:
         if args.reference_trace:
             ref_series = io.read_trajectory_csv(_require_file(args.reference_trace))
@@ -243,14 +257,8 @@ def cmd_hopping(args) -> int:
             raise UsageFailure(
                 "--actuator dc needs --reference-trace FILE or --auto-reference"
             )
+        cfg = replace(cfg, reference=reference)
 
-    cfg = hopper.HopperConfig(
-        dt=args.dt,
-        steps=args.steps,
-        actuator=actuator,
-        params=overrides,
-        reference=reference,
-    )
     try:
         trace = hopper.simulate_hopping(cfg)
     except hopper.IntegrationError as exc:

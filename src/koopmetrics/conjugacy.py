@@ -77,6 +77,10 @@ class ConjugacyReport:
     residuals ("none", "f", or "g"); ``ref_norms`` stores the divisors
     (1, 1) when no reference was chosen. ``psi_residuals`` maps transform
     name -> (operator residual, trajectory residual) in observable space.
+    The operator residual ||K_f - T^-1 K_g T||_F is None where it is not
+    defined: for T_LSQ when Psi_f has numerical rank below n at pinv's
+    relative cut-off (always so with fewer snapshots than observables),
+    since T_LSQ = Psi_g Psi_f+ is then singular.
     """
 
     corners: ParetoCorners
@@ -86,7 +90,7 @@ class ConjugacyReport:
     t_c_r1: np.ndarray
     t_c_r2: np.ndarray
     t_lsq: np.ndarray
-    psi_residuals: dict[str, tuple[float, float]] = field(default_factory=dict)
+    psi_residuals: dict[str, tuple[float | None, float]] = field(default_factory=dict)
 
 
 def _phi_array(traj) -> np.ndarray:
@@ -322,12 +326,19 @@ def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
     return DeviationTriple(d_min=d_min, d_avg=d_avg, d_max=d_max)
 
 
-def lsq_transform(psi_f, psi_g) -> np.ndarray:
-    """Plain least squares observable-space map T_LSQ = Psi_g Psi_f+."""
+def lsq_transform(psi_f, psi_g, return_rank: bool = False):
+    """Plain least squares observable-space map T_LSQ = Psi_g Psi_f+.
+
+    With ``return_rank`` the result is (T_LSQ, numerical rank of Psi_f), the
+    rank taken from the pseudoinverse's own singular values; below n it
+    makes T_LSQ singular.
+    """
     pf, pg = _psi_array(psi_f), _psi_array(psi_g)
     if pf.shape != pg.shape:
         raise ValueError(f"shape mismatch {pf.shape} vs {pg.shape}")
-    return pg @ pinv(pf)
+    pinv_f, rank = pinv(pf, return_rank=True)
+    t = pg @ pinv_f
+    return (t, rank) if return_rank else t
 
 
 def recover_t(
@@ -367,13 +378,21 @@ def _pull_back(c, m, w_f, r_g) -> np.ndarray:
     return r_g @ (omega_inv[:, None] * (c @ w_f))
 
 
-def _psi_space_residuals(t, k_f, k_g, psi_f, psi_g) -> tuple[float, float]:
-    """(operator, trajectory) residuals of a candidate observable-space T."""
-    try:
-        conj = np.linalg.solve(t, k_g @ t)
-        op = float(np.linalg.norm(k_f - conj))
-    except np.linalg.LinAlgError:
-        op = float("inf")
+def _psi_space_residuals(
+    t, k_f, k_g, psi_f, psi_g, invertible: bool = True
+) -> tuple[float | None, float]:
+    """(operator, trajectory) residuals of a candidate observable-space T.
+
+    The operator residual is None for a T known to be singular: solving with
+    it would not raise, but would return rounding noise.
+    """
+    op = None
+    if invertible:
+        try:
+            conj = np.linalg.solve(t, k_g @ t)
+            op = float(np.linalg.norm(k_f - conj))
+        except np.linalg.LinAlgError:
+            op = float("inf")
     traj = float(np.linalg.norm(psi_g - t @ psi_f))
     return op, traj
 
@@ -431,14 +450,16 @@ def compare(
     r_f, r_g = np.linalg.inv(model_f.W), np.linalg.inv(model_g.W)
     psi_f_mat = r_f @ (pf / getattr(phi_f, "scales", model_f.scales)[:, None])
     psi_g_mat = r_g @ (pg / getattr(phi_g, "scales", model_g.scales)[:, None])
-    t_lsq = lsq_transform(psi_f_mat, psi_g_mat)
+    t_lsq, lsq_rank = lsq_transform(psi_f_mat, psi_g_mat, return_rank=True)
     m = model_g.W @ t_lsq @ r_f
     t_c1 = _pull_back(c1, m, model_f.W, r_g)
     t_c2 = _pull_back(c2, m, model_f.W, r_g)
     residuals = {
         "T_C_r1": _psi_space_residuals(t_c1, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
         "T_C_r2": _psi_space_residuals(t_c2, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
-        "T_LSQ": _psi_space_residuals(t_lsq, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
+        "T_LSQ": _psi_space_residuals(
+            t_lsq, model_f.K, model_g.K, psi_f_mat, psi_g_mat, invertible=lsq_rank == pf.shape[0]
+        ),
     }
     return ConjugacyReport(
         corners=corners,

@@ -1,9 +1,21 @@
 """File formats: JSON model/report files and CSV trajectories.
 
 All writes are atomic (temp file in the target directory, then rename), so a
-crashed run never leaves a truncated artifact. Complex matrices are stored
-as row-major lists of [re, im] pairs; floats go through JSON's shortest
-round-trip repr, which reproduces them bit-exactly on load.
+crashed run never leaves a truncated artifact.
+
+Model files (schema v2) are a JSON header of scalars and layout plus five
+arrays, ``K``, ``W``, ``Lambda``, ``scales`` and ``phi0``, each stored as
+``{"dtype", "shape", "data"}``: ``data`` is the base64 of the array's
+little-endian C-order bytes and ``dtype`` is ``<c16`` (complex128) or
+``<f8`` (float64). A complex array whose imaginary parts are all +0.0 is
+stored as ``<f8``; ``scales`` is always ``<f8``. Loading returns complex128
+(float64 for ``scales``) arrays bit for bit, and the header's floats go
+through JSON's shortest round-trip repr, which is exact too. The header's
+``diagnostics`` object holds identification health numbers
+(``oneStepResidual``). Schema v1 files, which store complex arrays as
+row-major lists of [re, im] pairs, stay readable; only v2 is written. Both
+schemas share one validation path, and every malformed file raises
+FileFormatError.
 
 Model files carry, besides the operator and its decomposition, the scaled
 eigenfunction values at the first sample (``phi0``) and the trajectory
@@ -15,9 +27,12 @@ exp(lambda * dt * n)).
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import hashlib
 import json
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -26,8 +41,19 @@ import numpy as np
 
 from .koopman import EigenfunctionTrajectory, KoopmanModel, PrimarySeries
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
+READABLE_MODEL_SCHEMAS = (1, 2)
 REPORT_SCHEMA_VERSION = 1
+
+# Array payload dtypes of schema v2: explicit little-endian, so files do not
+# depend on the byte order of the machine that wrote them.
+PAYLOAD_DTYPES = ("<f8", "<c16")
+
+# Each step of a uniform time column read back from text carries the rounding
+# of its two end points and of the subtraction, up to about 1.5 eps max|t|
+# (the mean step adds less); 4 covers that with room and still rejects any
+# jitter larger than a few ulps.
+UNIFORM_STEP_ULPS = 4.0
 
 
 class FileFormatError(ValueError):
@@ -36,7 +62,11 @@ class FileFormatError(ValueError):
 
 @dataclass
 class ModelRecord:
-    """A saved model plus the layout metadata needed to reuse it."""
+    """A saved model plus the layout metadata needed to reuse it.
+
+    ``one_step_residual`` is identify's relative one-step fit residual
+    ||Psi' - K Psi||_F / ||Psi'||_F, or None where unknown (schema v1 files).
+    """
 
     model: KoopmanModel
     names: tuple[str, ...]
@@ -47,6 +77,7 @@ class ModelRecord:
     phi0: np.ndarray
     n_steps: int
     spectrum_kind: str = "discrete"
+    one_step_residual: float | None = None
 
     def implied_trajectory(self, n_steps: int | None = None) -> EigenfunctionTrajectory:
         """Model-implied eigenfunction rows phi0_i * growth_i^n, re-normalized.
@@ -71,12 +102,68 @@ class ModelRecord:
 def encode_complex(arr: np.ndarray) -> list:
     """Row-major list of [re, im] pairs."""
     flat = np.asarray(arr, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.column_stack([flat.real, flat.imag]).tolist()
 
 
-def decode_complex(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    return flat.reshape(shape)
+def _encode_array(arr: np.ndarray) -> dict:
+    """Schema v2 payload; complex with all-+0.0 imaginary parts goes as <f8."""
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
+        arr = arr.real
+    data = np.ascontiguousarray(arr, dtype="<c16" if np.iscomplexobj(arr) else "<f8")
+    return {
+        "dtype": data.dtype.str,
+        "shape": list(data.shape),
+        "data": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(spec, shape: tuple, dtype) -> np.ndarray:
+    """Schema v2 payload -> array of ``dtype``; ValueError says what is wrong."""
+    if not isinstance(spec, dict):
+        raise ValueError("expected an object with dtype, shape and data")
+    stored = spec["dtype"]
+    allowed = PAYLOAD_DTYPES if dtype is complex else ("<f8",)
+    if stored not in allowed:
+        raise ValueError(f"dtype {stored!r} unsupported (expected one of {allowed})")
+    if tuple(spec["shape"]) != shape:
+        raise ValueError(f"shape {spec['shape']} does not match nPsi (expected {list(shape)})")
+    try:
+        raw = base64.b64decode(spec["data"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"data is not valid base64 ({exc})") from None
+    expected = math.prod(shape) * np.dtype(stored).itemsize
+    if len(raw) != expected:
+        raise ValueError(f"payload has {len(raw)} bytes, shape and dtype need {expected}")
+    return np.frombuffer(raw, dtype=stored).astype(dtype).reshape(shape)
+
+
+def _decode_v1(value, shape: tuple, dtype) -> np.ndarray:
+    """Schema v1 value (a float list, or a list of [re, im] pairs) -> array."""
+    size = math.prod(shape)
+    if dtype is not complex:
+        flat = np.asarray(value, dtype=float)
+        if flat.shape != (size,):
+            raise ValueError(f"expected {size} numbers, got shape {flat.shape}")
+        return flat.reshape(shape)
+    pairs = np.asarray(value, dtype=float)
+    if pairs.shape != (size, 2):
+        raise ValueError(f"expected {size} [re, im] pairs, got shape {pairs.shape}")
+    # A view keeps every bit, including the sign of -0.0 (re + 1j*im would not).
+    return pairs.view(complex).reshape(shape)
+
+
+def _read_array(doc: dict, key: str, shape: tuple, dtype, version: int) -> np.ndarray:
+    """Decode one model array of either schema and check it is finite."""
+    decode = _decode_array if version == 2 else _decode_v1
+    value = doc[key]
+    try:
+        arr = decode(value, shape, dtype)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{key}: non-finite entries")
+    return arr
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -104,11 +191,11 @@ def file_sha256(path: str) -> str:
 
 
 def save_model(record: ModelRecord, path: str) -> None:
+    """Write a schema v2 model file (see the module docstring)."""
     m = record.model
-    n = m.n_psi
     doc = {
         "schemaVersion": MODEL_SCHEMA_VERSION,
-        "nPsi": n,
+        "nPsi": m.n_psi,
         "dt": m.dt,
         "ridge": m.ridge,
         "spectrumKind": record.spectrum_kind,
@@ -119,41 +206,47 @@ def save_model(record: ModelRecord, path: str) -> None:
             "aux": record.aux_enabled,
             "theta": list(record.theta) if record.theta is not None else None,
         },
-        "K": encode_complex(m.K),
-        "W": encode_complex(m.W),
-        "Lambda": encode_complex(m.lambdas),
-        "scales": [float(s) for s in m.scales],
         "eigCondition": m.eig_condition,
-        "phi0": encode_complex(record.phi0),
         "nSteps": record.n_steps,
+        "diagnostics": {"oneStepResidual": record.one_step_residual},
+        "K": _encode_array(m.K),
+        "W": _encode_array(m.W),
+        "Lambda": _encode_array(m.lambdas),
+        "scales": _encode_array(m.scales),
+        "phi0": _encode_array(record.phi0),
     }
     atomic_write_text(path, json.dumps(doc))
 
 
 def load_model(path: str) -> ModelRecord:
+    """Read a schema v1 or v2 model file; FileFormatError if malformed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     version = doc.get("schemaVersion") if isinstance(doc, dict) else None
-    if version != MODEL_SCHEMA_VERSION:
+    if version not in READABLE_MODEL_SCHEMAS:
         raise FileFormatError(
-            f"{path}: schema version {version} unsupported (expected {MODEL_SCHEMA_VERSION})"
+            f"{path}: schema version {version} unsupported "
+            f"(expected one of {READABLE_MODEL_SCHEMAS})"
         )
     try:
         n = int(doc["nPsi"])
+        if n < 1:
+            raise ValueError(f"nPsi must be positive, got {n}")
         model = KoopmanModel(
-            K=decode_complex(doc["K"], (n, n)),
-            lambdas=decode_complex(doc["Lambda"], (n,)),
-            W=decode_complex(doc["W"], (n, n)),
-            scales=np.array(doc["scales"], dtype=float).reshape(n),
+            K=_read_array(doc, "K", (n, n), complex, version),
+            lambdas=_read_array(doc, "Lambda", (n,), complex, version),
+            W=_read_array(doc, "W", (n, n), complex, version),
+            scales=_read_array(doc, "scales", (n,), float, version),
             eig_condition=float(doc["eigCondition"]),
             ridge=float(doc["ridge"]),
             dt=float(doc["dt"]),
         )
         layout = doc["layout"]
         theta = layout.get("theta")
+        residual = doc.get("diagnostics", {}).get("oneStepResidual")
         record = ModelRecord(
             model=model,
             names=tuple(layout["names"]),
@@ -161,15 +254,13 @@ def load_model(path: str) -> ModelRecord:
             n_primary=int(layout["nPrimary"]),
             aux_enabled=bool(layout["aux"]),
             theta=tuple(theta) if theta is not None else None,
-            phi0=decode_complex(doc["phi0"], (n,)),
+            phi0=_read_array(doc, "phi0", (n,), complex, version),
             n_steps=int(doc["nSteps"]),
             spectrum_kind=doc.get("spectrumKind", "discrete"),
+            one_step_residual=float(residual) if residual is not None else None,
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise FileFormatError(f"{path}: missing or malformed field ({exc!r})") from None
-    arrays = (model.K, model.lambdas, model.W, model.scales, record.phi0)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise FileFormatError(f"{path}: non-finite entries in model arrays")
+        raise FileFormatError(f"{path}: missing or malformed field ({exc})") from None
     return record
 
 
@@ -208,8 +299,10 @@ def read_trajectory_csv(path: str, dt: float | None = None) -> PrimarySeries:
     """Parse a row-per-step CSV into a PrimarySeries (columns become rows).
 
     A column named ``t`` supplies the sampling interval when ``dt`` is not
-    given. Malformed cells and ragged rows are reported with their row and
-    column position.
+    given; it must be increasing with uniform steps, up to a rounding
+    tolerance of UNIFORM_STEP_ULPS * eps * max|t| on each step. Malformed or
+    non-finite cells and ragged rows are reported with their row and column
+    position.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -231,12 +324,18 @@ def read_trajectory_csv(path: str, dt: float | None = None) -> PrimarySeries:
             parsed = []
             for col_no, cell in enumerate(row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise FileFormatError(
                         f"{path}: row {line_no}, column '{header[col_no]}': "
                         f"non-numeric cell {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise FileFormatError(
+                        f"{path}: row {line_no}, column '{header[col_no]}': "
+                        f"non-finite cell {cell!r}"
+                    )
+                parsed.append(value)
             rows.append(parsed)
     if len(rows) < 2:
         raise FileFormatError(f"{path}: need at least 2 data rows, found {len(rows)}")
@@ -252,6 +351,12 @@ def read_trajectory_csv(path: str, dt: float | None = None) -> PrimarySeries:
             if diffs.size == 0 or np.min(diffs) <= 0:
                 raise FileFormatError(f"{path}: time column is not increasing")
             dt = float(np.mean(diffs))
+            spread = float(np.max(np.abs(diffs - dt)))
+            if spread > UNIFORM_STEP_ULPS * np.finfo(float).eps * np.max(np.abs(t)):
+                raise FileFormatError(
+                    f"{path}: time column is not uniformly sampled "
+                    f"(steps deviate from their mean {dt:.6g} by up to {spread:.3g})"
+                )
     if dt is None:
         raise FileFormatError(
             f"{path}: no time column present; a sampling interval is required"

@@ -114,20 +114,24 @@ def eig(m) -> EigResult:
     return EigResult(lambdas=lambdas, R=r, condition_number=cond)
 
 
-def pinv(m, rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+def pinv(m, rtol: float = DEFAULT_PINV_RTOL, return_rank: bool = False):
     """Moore-Penrose pseudoinverse with relative singular value cutoff.
 
     Singular values at or below rtol * sigma_max are treated as exactly zero,
-    which makes rank decisions reproducible across platforms.
+    which makes rank decisions reproducible across platforms. With
+    ``return_rank`` the result is (pseudoinverse, numerical rank), the rank
+    being the number of singular values kept.
     """
     if rtol <= 0:
         raise ValueError(f"rtol must be positive, got {rtol}")
     res = svd(m)
     if res.S.size == 0 or res.S[0] == 0.0:
-        return np.zeros((res.V.shape[0], res.U.shape[0]), dtype=complex)
-    cutoff = rtol * res.S[0]
-    inv_s = np.where(res.S > cutoff, 1.0 / np.where(res.S > cutoff, res.S, 1.0), 0.0)
-    return (res.V * inv_s) @ res.U.conj().T
+        zero = np.zeros((res.V.shape[0], res.U.shape[0]), dtype=complex)
+        return (zero, 0) if return_rank else zero
+    kept = res.S > rtol * res.S[0]
+    inv_s = np.where(kept, 1.0 / np.where(kept, res.S, 1.0), 0.0)
+    inverse = (res.V * inv_s) @ res.U.conj().T
+    return (inverse, int(kept.sum())) if return_rank else inverse
 
 
 def unitarity_defect(c) -> float:

@@ -74,7 +74,11 @@ class TestIdentify:
              "--output", str(out), "--train-steps", "120"]
         )
         assert code == 0
-        assert load_model(str(out)).model.n_psi == 1 + 4 + 120
+        record = load_model(str(out))
+        assert record.model.n_psi == 1 + 4 + 120
+        # Real data: K is real and stored as float64, its imaginary zeros all +0.0.
+        assert json.loads(out.read_text())["K"]["dtype"] == "<f8"
+        assert not np.any(np.signbit(record.model.K.imag))
 
 
 class TestCompare:
@@ -159,6 +163,38 @@ class TestCompare:
         assert code == 2
         err = capsys.readouterr().err
         assert "'K'" in err and "Traceback" not in err
+
+    def test_singular_lsq_operator_residual_is_null(self, tmp_path):
+        # Hopping models have n_psi = 1 + 4 + T > T snapshots, so Psi_f is
+        # rank-deficient and T_LSQ singular; the T_C transforms stay invertible.
+        prefix = tmp_path / "hop"
+        assert main(["hopping", "--actuator", "nlm", "--steps", "700",
+                     "--output-prefix", str(prefix)]) == 0
+        model = tmp_path / "m.json"
+        assert main(["identify", "--input", f"{prefix}_primary.csv",
+                     "--output", str(model), "--train-steps", "40"]) == 0
+        report = tmp_path / "r.json"
+        assert main(["compare", "--model-a", str(model), "--model-b", str(model),
+                     "--output", str(report)]) == 0
+        text = report.read_text()
+        psi = json.loads(text)["psiResiduals"]
+        assert psi["T_LSQ"]["operator"] is None
+        assert '"operator": null' in text
+        assert np.isfinite(psi["T_LSQ"]["trajectory"])
+        for name in ("T_C_r1", "T_C_r2"):
+            assert np.isfinite(psi[name]["operator"])
+
+    def test_full_rank_lsq_operator_residual_is_a_number(self, tmp_path):
+        p = BenchmarkParams(steps=300)
+        a, b = tmp_path / "f.json", tmp_path / "g.json"
+        save_benchmark_model(a, p, "f")
+        save_benchmark_model(b, p, "g")
+        report = tmp_path / "r.json"
+        assert main(["compare", "--model-a", str(a), "--model-b", str(b),
+                     "--output", str(report)]) == 0
+        op = json.loads(report.read_text())["psiResiduals"]["T_LSQ"]["operator"]
+        assert op is not None and op < 1e-6
+
 
 class TestBenchmarkSweep:
     def test_single_conjugate_point(self, tmp_path, capsys):
@@ -281,6 +317,36 @@ class TestExitCodes:
         )
         assert code == 1
         assert "step 7" in capsys.readouterr().err
+
+    def test_non_finite_csv_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "geo.csv"
+        write_geometric_csv(csv)
+        lines = csv.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",nan"
+        csv.write_text("\n".join(lines) + "\n")
+        code = main(["identify", "--input", str(csv), "--output", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 6, column 'x'" in err
+
+    def test_non_uniform_time_column_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "jitter.csv"
+        io.write_trajectory_csv(str(csv), ["x"], np.array([[1.0, 0.5, 0.25, 0.125]]),
+                                t=np.array([0, 0.1, 0.5, 0.6]))
+        code = main(["identify", "--input", str(csv), "--output", str(tmp_path / "m.json"),
+                     "--no-aux"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "uniformly" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--steps", "2"], ["--dt", "0"], ["--set", "bogus=1"]])
+    def test_bad_hopper_settings_are_usage_errors(self, tmp_path, capsys, flag):
+        code = main(["hopping", "--actuator", "nlm", "--output-prefix", str(tmp_path / "h")]
+                    + flag)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
 
     def test_empty_sweep_grid_is_usage_error(self, tmp_path, capsys):
         code = main(
