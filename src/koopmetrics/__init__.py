@@ -35,8 +35,8 @@ from .koopman import (
     default_ridge,
     eigenfunction_trajectories,
     fit_theta,
+    free_run,
     identify_operator,
-    predict,
 )
 from .linalg import (
     DiagonalizabilityError,
@@ -75,12 +75,12 @@ __all__ = [
     "eig",
     "eigenfunction_trajectories",
     "fit_theta",
+    "free_run",
     "identify_operator",
     "lsq_transform",
     "mean_corner_distance",
     "pareto_deviations",
     "pinv",
-    "predict",
     "recover_t",
     "residual_r1",
     "residual_r2",

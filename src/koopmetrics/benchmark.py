@@ -28,7 +28,7 @@ from .koopman import (
     decompose,
     eigenfunction_trajectories,
 )
-from .linalg import eig
+from .linalg import EigResult, eig
 
 SWEEP_COLUMNS = (
     "alpha",
@@ -97,12 +97,6 @@ def conjugate_h() -> np.ndarray:
     return np.array([[2.0, -1.0], [-1.0, 1.0]])
 
 
-def propagator(k_cont: np.ndarray, dt: float) -> np.ndarray:
-    """exp(K dt) through the eigendecomposition (exact for diagonalizable K)."""
-    res = eig(k_cont)
-    return (res.R * np.exp(res.lambdas * dt)) @ np.linalg.inv(res.R)
-
-
 def _initial_observables(p: BenchmarkParams, system: str) -> np.ndarray:
     x0 = np.asarray(p.x0, dtype=complex)
     if system == "f":
@@ -114,20 +108,19 @@ def _initial_observables(p: BenchmarkParams, system: str) -> np.ndarray:
 
 
 def simulate_observables(
-    k_cont: np.ndarray, p: BenchmarkParams, system: str = "f"
+    gen: EigResult, p: BenchmarkParams, system: str = "f"
 ) -> ObservableMatrix:
-    """Sample the observable trajectory under the given generator.
+    """Sample the observable trajectory under a generator, given as eig(K).
 
     Column n holds the observables at time n*dt, evolved through the
     eigendecomposition of the generator so the sequence is exact to rounding.
     The three-observable dictionary is used as is: no constant row and no
     auxiliary features.
     """
-    res = eig(k_cont)
-    coeffs = np.linalg.solve(res.R, _initial_observables(p, system))
+    coeffs = gen.W @ _initial_observables(p, system)
     times = np.arange(p.steps) * p.dt
-    modes = np.exp(np.outer(res.lambdas, times)) * coeffs[:, None]
-    psi = res.R @ modes
+    modes = np.exp(np.outer(gen.lambdas, times)) * coeffs[:, None]
+    psi = gen.R @ modes
     names = ("x1", "x2", "x1^2") if system == "f" else ("y1", "y2", "(y1+y2)^2")
     return ObservableMatrix(
         psi=psi,
@@ -146,8 +139,9 @@ def benchmark_system(
     """Generator-spectrum model plus sampled eigenfunction trajectory."""
     k_f, k_g = analytic_generators(p)
     k = k_f if system == "f" else k_g
-    obs = simulate_observables(k, p, system)
-    model = decompose(k, p.dt, ridge=0.0)
+    gen = eig(k)
+    obs = simulate_observables(gen, p, system)
+    model = decompose(k, p.dt, ridge=0.0, eig_result=gen)
     phi = eigenfunction_trajectories(model, obs)
     return model, phi, obs
 

@@ -91,11 +91,6 @@ def cmd_identify(args) -> int:
     )
     model = decompose(k, obs.dt, ridge)
     phi = eigenfunction_trajectories(model, obs)
-    if not np.any(k.imag):
-        # Real data give a real K, but complex arithmetic leaves some of its
-        # zero imaginary parts as -0.0; with every sign cleared the model file
-        # stores K as float64 and still loads it back bit for bit.
-        model = replace(model, K=k.real.astype(complex))
     record = io.ModelRecord(
         model=model,
         names=obs.names,

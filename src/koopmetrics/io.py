@@ -7,8 +7,9 @@ Model files (schema v2) are a JSON header of scalars and layout plus five
 arrays, ``K``, ``W``, ``Lambda``, ``scales`` and ``phi0``, each stored as
 ``{"dtype", "shape", "data"}``: ``data`` is the base64 of the array's
 little-endian C-order bytes and ``dtype`` is ``<c16`` (complex128) or
-``<f8`` (float64). A complex array whose imaginary parts are all +0.0 is
-stored as ``<f8``; ``scales`` is always ``<f8``. Loading returns complex128
+``<f8`` (float64). A real array, such as the K identified from real data,
+and a complex array whose imaginary parts are all +0.0 are stored as
+``<f8``; ``scales`` is always ``<f8``. Loading returns complex128
 (float64 for ``scales``) arrays bit for bit, and the header's floats go
 through JSON's shortest round-trip repr, which is exact too. The header's
 ``diagnostics`` object holds identification health numbers
@@ -106,7 +107,7 @@ def encode_complex(arr: np.ndarray) -> list:
 
 
 def _encode_array(arr: np.ndarray) -> dict:
-    """Schema v2 payload; complex with all-+0.0 imaginary parts goes as <f8."""
+    """Schema v2 payload; real, or complex with all-+0.0 imaginary parts, goes as <f8."""
     arr = np.asarray(arr)
     if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
         arr = arr.real

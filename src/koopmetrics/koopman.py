@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    EIG_CONDITION_LIMIT,
-    DiagonalizabilityError,
-    as_complex_matrix,
-    eig,
-)
+from .linalg import DiagonalizabilityError, EigResult, as_matrix, eig
 
 DEGENERATE_ROW_TOL = 1e-14
+
+# decompose() gates ||W K - diag(lambdas) W||_F / ||K||_F below this multiple
+# of n * eps * cond_F(R), a backward-error bound: forming W = R^-1 alone leaves
+# about eps * cond(R), while a W that is no left-eigenvector matrix is off by
+# order one.
+LEFT_RESIDUAL_FACTOR = 10.0
 
 
 class IdentificationError(Exception):
@@ -102,8 +103,8 @@ class ObservableMatrix:
     """Lifted observables, one column per time step.
 
     Layout (row blocks, in order): optional constant row of ones, primary
-    rows, then one auxiliary row per stored training snapshot. Storage is
-    complex throughout even when the data is real.
+    rows, then one auxiliary row per stored training snapshot. Real data is
+    stored as float64, anything else as complex128.
     """
 
     psi: np.ndarray
@@ -115,7 +116,7 @@ class ObservableMatrix:
     dt: float
 
     def __post_init__(self):
-        self.psi = as_complex_matrix(self.psi, "psi")
+        self.psi = as_matrix(self.psi, "psi")
         self.names = tuple(self.names)
         if self.has_constant and not np.all(self.psi[0] == 1.0):
             raise ValueError("constant row (index 0) must be exactly ones")
@@ -232,9 +233,8 @@ def build_observables(primary: PrimarySeries, aux: AuxiliaryConfig) -> Observabl
             )
         snapshots = primary.values.copy()
         blocks.append(correlation_features(primary.values, snapshots, aux.theta))
-    psi = np.vstack(blocks).astype(complex)
     return ObservableMatrix(
-        psi=psi,
+        psi=np.vstack(blocks),
         names=primary.names,
         has_constant=True,
         n_primary=primary.n_primary,
@@ -261,7 +261,7 @@ def lift_columns(obs: ObservableMatrix, primary_columns: np.ndarray) -> np.ndarr
     blocks.append(cols)
     if obs.aux is not None and obs.aux.enabled:
         blocks.append(correlation_features(cols, obs.train_snapshots, obs.aux.theta))
-    return np.vstack(blocks).astype(complex)
+    return np.vstack(blocks)
 
 
 def default_ridge(obs: ObservableMatrix) -> float:
@@ -273,9 +273,9 @@ def default_ridge(obs: ObservableMatrix) -> float:
 def identify_operator(obs: ObservableMatrix, ridge: float = 0.0) -> np.ndarray:
     """One-step least squares fit K = Y X* (X X* + ridge I)^-1.
 
-    X and Y are the observable matrix without its last / first column. With
-    ridge = 0 the solution is the exact least squares operator and requires
-    X X* to be well conditioned.
+    X and Y are the observable matrix without its last / first column; K is
+    float64 when the observables are. With ridge = 0 the solution is the
+    exact least squares operator and requires X X* to be well conditioned.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
@@ -302,33 +302,33 @@ def identify_operator(obs: ObservableMatrix, ridge: float = 0.0) -> np.ndarray:
     return k
 
 
-def decompose(K, dt: float, ridge: float = 0.0) -> KoopmanModel:
+def decompose(
+    K, dt: float, ridge: float = 0.0, eig_result: EigResult | None = None
+) -> KoopmanModel:
     """Spectral decomposition of an identified operator.
 
     W is the inverse of the right-eigenvector matrix, so its rows are left
-    eigenvectors and W @ K = diag(lambdas) @ W. Scales start at ones and are
-    filled in by eigenfunction_trajectories.
+    eigenvectors and W @ K = diag(lambdas) @ W. Pass ``eig_result`` when
+    eig(K) is already at hand. Scales start at ones and are filled in by
+    eigenfunction_trajectories.
     """
-    arr = as_complex_matrix(K, "K")
+    arr = as_matrix(K, "K")
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"K must be square, got shape {arr.shape}")
-    res = eig(arr)
-    w = np.linalg.inv(res.R)
-    if res.condition_number >= EIG_CONDITION_LIMIT:
-        raise DiagonalizabilityError(
-            f"W condition number {res.condition_number:.3e} too large to invert reliably"
-        )
+    res = eig(arr) if eig_result is None else eig_result
     k_norm = np.linalg.norm(arr)
     if k_norm > 0:
-        residual = np.linalg.norm(w @ arr - res.lambdas[:, None] * w) / k_norm
-        if residual >= 1e-8:
+        residual = np.linalg.norm(res.W @ arr - res.lambdas[:, None] * res.W) / k_norm
+        bound = LEFT_RESIDUAL_FACTOR * arr.shape[0] * np.finfo(float).eps * res.condition_number
+        if not residual < bound:
             raise DiagonalizabilityError(
-                f"left-eigenvector residual {residual:.3e} exceeds 1e-8"
+                f"left-eigenvector residual {residual:.3e} exceeds "
+                f"{bound:.3e} ({LEFT_RESIDUAL_FACTOR:g} n eps cond(R))"
             )
     return KoopmanModel(
         K=arr,
         lambdas=res.lambdas,
-        W=w,
+        W=res.W,
         scales=np.ones(arr.shape[0]),
         eig_condition=res.condition_number,
         ridge=float(ridge),
@@ -368,27 +368,22 @@ def reconstruct_observables(
     return np.linalg.solve(model.W, traj.phi / traj.scales[:, None])
 
 
-def predict(model: KoopmanModel, psi0, steps: int) -> np.ndarray:
-    """Free-run the operator: column n is K^n @ psi0, for n = 0..steps."""
-    vec = np.asarray(psi0, dtype=complex).reshape(-1)
-    if vec.shape[0] != model.n_psi:
-        raise ValueError(f"psi0 length {vec.shape[0]} != n_psi {model.n_psi}")
+def free_run(K, psi0, steps: int) -> np.ndarray:
+    """Free-run the operator: column n is K^n @ psi0, for n = 0..steps.
+
+    The output dtype is that of K @ psi0 (at least float64), so real input
+    is stepped in real arithmetic.
+    """
+    k = np.asarray(K)
+    vec = np.asarray(psi0).reshape(-1)
+    if vec.shape[0] != k.shape[1]:
+        raise ValueError(f"psi0 length {vec.shape[0]} != n_psi {k.shape[1]}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    out = np.empty((model.n_psi, steps + 1), dtype=complex)
+    out = np.empty((vec.shape[0], steps + 1), dtype=np.result_type(k, vec, float))
     out[:, 0] = vec
     for n in range(steps):
-        out[:, n + 1] = model.K @ out[:, n]
-    return out
-
-
-def free_run(K: np.ndarray, psi0: np.ndarray, steps: int) -> np.ndarray:
-    """predict() without requiring a spectral decomposition."""
-    vec = np.asarray(psi0, dtype=complex).reshape(-1)
-    out = np.empty((vec.shape[0], steps + 1), dtype=complex)
-    out[:, 0] = vec
-    for n in range(steps):
-        out[:, n + 1] = K @ out[:, n]
+        out[:, n + 1] = k @ out[:, n]
     return out
 
 

@@ -13,6 +13,7 @@ from koopmetrics.benchmark import (
     simulate_observables,
     sweep,
 )
+from koopmetrics.linalg import eig
 
 # Transform recovered at exact conjugacy with the default start (g launched
 # from h(x0)): the conjugating map itself, extended to the squared observable.
@@ -60,13 +61,13 @@ class TestSimulate:
         p = BenchmarkParams(steps=2)
         # a zero generator is defective-free but eig of 0 has repeated
         # eigenvalues with identity eigenvectors, which is fine
-        obs = simulate_observables(np.zeros((3, 3), dtype=complex), p, "f")
+        obs = simulate_observables(eig(np.zeros((3, 3), dtype=complex)), p, "f")
         np.testing.assert_array_equal(obs.psi[:, 0], obs.psi[:, 1])
 
     def test_first_row_is_exponential_mode(self):
         p = BenchmarkParams(steps=200)
         k_f, _ = analytic_generators(p)
-        obs = simulate_observables(k_f, p, "f")
+        obs = simulate_observables(eig(k_f), p, "f")
         t = np.arange(200) * p.dt
         expected = p.x0[0] * np.exp(p.mu * t)
         np.testing.assert_allclose(obs.psi[0], expected, atol=1e-12)
@@ -74,13 +75,13 @@ class TestSimulate:
     def test_square_row_consistency(self):
         p = BenchmarkParams(steps=150)
         k_f, _ = analytic_generators(p)
-        obs = simulate_observables(k_f, p, "f")
+        obs = simulate_observables(eig(k_f), p, "f")
         np.testing.assert_allclose(obs.psi[2], obs.psi[0] ** 2, atol=1e-10)
 
     def test_dictionary_is_bare(self):
         p = BenchmarkParams(steps=5)
         k_f, _ = analytic_generators(p)
-        obs = simulate_observables(k_f, p, "f")
+        obs = simulate_observables(eig(k_f), p, "f")
         assert obs.n_psi == 3 and not obs.has_constant and obs.aux is None
 
 
@@ -121,7 +122,7 @@ class TestConjugateMap:
         y0 = conjugate_h() @ np.asarray(p.x0, dtype=complex)
         states = rk4(g_field, y0, p.dt, p.steps)
         _, k_g = analytic_generators(p)
-        obs = simulate_observables(k_g, p, "g")
+        obs = simulate_observables(eig(k_g), p, "g")
         # tolerance is the RK4 truncation error of the |lambda * dt| = 0.1 mode
         np.testing.assert_allclose(obs.psi[0], states[0], atol=1e-5)
         np.testing.assert_allclose(obs.psi[1], states[1], atol=1e-5)

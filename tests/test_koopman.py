@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from koopmetrics.benchmark import BenchmarkParams, analytic_generators, benchmark_system, propagator
+from koopmetrics.benchmark import BenchmarkParams, analytic_generators, benchmark_system
 from koopmetrics.conjugacy import solve_permutation
 from koopmetrics.koopman import (
     AuxiliaryConfig,
@@ -14,14 +14,21 @@ from koopmetrics.koopman import (
     default_ridge,
     eigenfunction_trajectories,
     fit_theta,
+    free_run,
     holdout_error,
     identify_operator,
     lift_columns,
-    predict,
     reconstruct_observables,
 )
+from koopmetrics.linalg import DiagonalizabilityError, eig
 
 from conftest import lifted_system, random_diagonalizable, random_well_conditioned, raw_observables
+
+
+def propagator(k_cont, dt):
+    """exp(K dt) through the eigendecomposition (exact for diagonalizable K)."""
+    res = eig(k_cont)
+    return (res.R * np.exp(res.lambdas * dt)) @ res.W
 
 
 def series(values, dt=0.1):
@@ -72,6 +79,17 @@ class TestBuildObservables:
         vals = rng.standard_normal((2, 5))
         obs = build_observables(series(vals), AuxiliaryConfig((0.8, 1.1)))
         np.testing.assert_allclose(lift_columns(obs, vals), obs.psi, atol=1e-14)
+
+    def test_real_data_stays_real_through_decompose(self, rng):
+        vals = rng.standard_normal((2, 30))
+        obs = build_observables(series(vals), AuxiliaryConfig((0.8, 1.1)))
+        assert obs.psi.dtype == np.float64
+        assert lift_columns(obs, vals[:, :3]).dtype == np.float64
+        k = identify_operator(obs, ridge=default_ridge(obs))
+        assert k.dtype == np.float64
+        model = decompose(k, dt=obs.dt)
+        assert model.K.dtype == np.float64
+        assert model.W.dtype == model.lambdas.dtype == np.complex128
 
 
 class TestIdentify:
@@ -135,6 +153,28 @@ class TestDecompose:
         model = decompose(k, dt=0.2)
         residual = np.linalg.norm(model.W @ k - model.lambdas[:, None] * model.W)
         assert residual / np.linalg.norm(k) < 1e-8
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_left_residual_gate_scales_with_conditioning(self, dtype):
+        # Eigenvectors with 2-norm condition ~1e8: forming W = R^-1 leaves a
+        # left-eigenvector residual near 1e-8 (1.2e-8 on the complex path),
+        # which a fixed 1e-8 cut-off rejected although it sits far below
+        # n * eps * cond(R) ~ 1e-6.
+        rng = np.random.default_rng(5)
+        n = 60
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = q1 @ np.diag(np.geomspace(1e-4, 1e4, n)) @ q2.T
+        d = rng.uniform(0.3, 0.98, n)
+        k = s @ np.diag(d) @ np.linalg.inv(s)
+        model = decompose(k.astype(dtype), dt=0.1)
+        assert model.eig_condition > 1e7
+        residual = np.linalg.norm(model.W @ k - model.lambdas[:, None] * model.W)
+        assert 1e-9 < residual / np.linalg.norm(k) < 1e-6
+
+    def test_jordan_block_still_rejected(self):
+        with pytest.raises(DiagonalizabilityError):
+            decompose(np.array([[0.9, 1.0], [0.0, 0.9]]), dt=0.1)
 
     def test_spectrum_invariant_under_similarity(self, rng):
         k = random_diagonalizable(rng, 4)
@@ -204,7 +244,7 @@ class TestEigenfunctions:
 class TestPredict:
     def test_zero_steps(self, rng):
         model = decompose(np.diag([0.5, 0.25]), dt=0.1)
-        out = predict(model, [1.0, 2.0], steps=0)
+        out = free_run(model.K, [1.0, 2.0], steps=0)
         assert out.shape == (2, 1)
         np.testing.assert_array_equal(out[:, 0], [1.0, 2.0])
 
@@ -218,9 +258,19 @@ class TestPredict:
             ridge=0.0,
             dt=0.1,
         )
-        out = predict(model, [1.0, 0.0], steps=3)
+        out = free_run(model.K, [1.0, 0.0], steps=3)
         np.testing.assert_array_equal(out[0], [1.0, 2.0, 4.0, 8.0])
         np.testing.assert_array_equal(out[1], np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "k_dtype, psi_dtype, out_dtype",
+        [(float, float, np.float64), (float, complex, np.complex128), (complex, float, np.complex128)],
+    )
+    def test_output_dtype_follows_inputs(self, k_dtype, psi_dtype, out_dtype):
+        k = np.array([[0.5, 0.1], [0.0, 0.25]], dtype=k_dtype)
+        out = free_run(k, np.array([1.0, 2.0], dtype=psi_dtype), steps=4)
+        assert out.dtype == out_dtype
+        np.testing.assert_allclose(out[:, 4], np.linalg.matrix_power(k, 4) @ [1.0, 2.0])
 
     def test_one_step_matches_identification_residual(self, rng):
         psi = rng.standard_normal((3, 20))
@@ -230,7 +280,7 @@ class TestPredict:
         x, y = obs.psi[:, :-1], obs.psi[:, 1:]
         fit_res = np.linalg.norm(y - k @ x)
         for col in range(0, 19, 6):
-            pred = predict(model, obs.psi[:, col], steps=1)[:, 1]
+            pred = free_run(model.K, obs.psi[:, col], steps=1)[:, 1]
             assert np.linalg.norm(pred - obs.psi[:, col + 1]) <= fit_res + 1e-12
 
 

@@ -1,9 +1,12 @@
 """Factorization wrappers validated against reconstruction identities."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from koopmetrics.conjugacy import solve_permutation
 from koopmetrics.linalg import (
     DiagonalizabilityError,
+    as_matrix,
     eig,
     pinv,
     svd,
@@ -84,6 +87,102 @@ class TestEig:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="square"):
             eig(np.ones((2, 3)))
+
+
+# Checks below allow 10 n eps cond_F(R): the rounding a backward-stable
+# decomposition may commit, with a factor 10 of headroom.
+EPS = np.finfo(float).eps
+ROUNDING = 10 * EPS
+
+
+def real_diagonalizable(seed, n_real, n_pairs):
+    """Real K = S D S^-1: D holds n_real real eigenvalues and n_pairs 2x2
+    rotation-scaling blocks (one conjugate pair each); S is real with
+    singular values in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    n = n_real + 2 * n_pairs
+    d = np.zeros((n, n))
+    d[:n_real, :n_real] = np.diag(rng.uniform(-1.0, 1.0, n_real))
+    for j in range(n_real, n, 2):
+        a, b = rng.uniform(-1.0, 1.0), rng.uniform(0.05, 1.0)
+        d[j : j + 2, j : j + 2] = [[a, b], [-b, a]]
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = (q1 * rng.uniform(0.1, 10.0, n)) @ q2.T
+    return s @ d @ np.linalg.inv(s)
+
+
+real_systems = st.builds(
+    real_diagonalizable,
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+    st.integers(0, 4),
+).filter(lambda k: k.shape[0] > 0)
+
+
+class TestEigRealPath:
+    """float64 input is decomposed by the real LAPACK routine."""
+
+    def test_validator_keeps_float64_and_complexifies_the_rest(self):
+        assert as_matrix(np.eye(2)).dtype == np.float64
+        assert as_matrix([[1.0, 2.0]]).dtype == np.float64
+        assert as_matrix(np.eye(2, dtype=int)).dtype == np.complex128
+        assert as_matrix(np.eye(2, dtype=np.float32)).dtype == np.complex128
+        assert as_matrix(np.eye(2, dtype=complex)).dtype == np.complex128
+
+    def test_outputs_are_complex(self):
+        res = eig(np.diag([2.0, 3.0]))
+        for arr in (res.lambdas, res.R, res.W):
+            assert arr.dtype == np.complex128
+
+    @settings(max_examples=60, deadline=None)
+    @given(real_systems)
+    def test_spectrum_matches_complex_path(self, k):
+        n = k.shape[0]
+        real, cplx = eig(k), eig(k.astype(complex))
+        tol = n * ROUNDING * max(real.condition_number, cplx.condition_number) * np.linalg.norm(k)
+        pi = solve_permutation(real.lambdas, cplx.lambdas)
+        assert np.abs(real.lambdas - cplx.lambdas[pi]).max() <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(real_systems)
+    def test_w_is_a_left_eigenvector_matrix(self, k):
+        n = k.shape[0]
+        res = eig(k)
+        residual = np.linalg.norm(res.W @ k - res.lambdas[:, None] * res.W)
+        assert residual <= n * ROUNDING * res.condition_number * np.linalg.norm(k)
+        identity_defect = np.linalg.norm(res.W @ res.R - np.eye(n))
+        assert identity_defect <= n * ROUNDING * res.condition_number
+
+    @settings(max_examples=60, deadline=None)
+    @given(real_systems)
+    def test_spectrum_closed_under_conjugation(self, k):
+        res = eig(k)
+        lam = res.lambdas
+        np.testing.assert_array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+        for j in np.flatnonzero(lam.imag > 0):
+            partner = np.flatnonzero(lam == lam[j].conj())
+            assert partner.size == 1
+            np.testing.assert_array_equal(res.R[:, partner[0]], res.R[:, j].conj())
+
+    @settings(max_examples=60, deadline=None)
+    @given(real_systems)
+    def test_frobenius_condition_brackets_two_norm_condition(self, k):
+        n = k.shape[0]
+        res = eig(k)
+        cond2 = np.linalg.cond(res.R)
+        slack = n * ROUNDING * res.condition_number
+        assert cond2 * (1.0 - slack) <= res.condition_number
+        assert res.condition_number <= n * cond2 * (1.0 + slack)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exactly_singular_eigenvectors_are_a_diagonalizability_error(self, dtype):
+        # LAPACK returns the eigenvectors [1, 0] and [-1, 0] for this
+        # nilpotent block, so inverting R fails outright.
+        nilpotent = np.array([[0.0, 1e50], [0.0, 0.0]], dtype=dtype)
+        assert np.linalg.matrix_rank(np.linalg.eig(nilpotent)[1]) < 2
+        with pytest.raises(DiagonalizabilityError, match="singular"):
+            eig(nilpotent)
 
 
 class TestPinv:
