@@ -6,6 +6,7 @@ conjugacy through closed-form unitary alignments of trajectories and
 spectra.
 """
 from .conjugacy import (
+    CompareDiagnostics,
     ConjugacyReport,
     ContractViolationError,
     DeviationTriple,
@@ -53,6 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxiliaryConfig",
+    "CompareDiagnostics",
     "ConjugacyReport",
     "ContractViolationError",
     "DeviationTriple",

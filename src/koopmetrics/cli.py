@@ -92,7 +92,7 @@ def cmd_identify(args) -> int:
     model = decompose(k, obs.dt, ridge)
     phi = eigenfunction_trajectories(model, obs)
     record = io.ModelRecord(
-        model=model,
+        model=replace(model, scales=phi.scales),
         names=obs.names,
         has_constant=obs.has_constant,
         n_primary=obs.n_primary,
@@ -132,7 +132,7 @@ def cmd_compare(args) -> int:
     phi_b = rec_b.implied_trajectory(horizon)
     normalization = {"a": "f", "b": "g", "none": "none"}[args.reference]
     report = conjugacy.compare(rec_a.model, phi_a, rec_b.model, phi_b, normalization)
-    corners, devs = report.corners, report.deviations
+    corners, devs, diag = report.corners, report.deviations, report.diagnostics
 
     doc = {
         "systems": {
@@ -161,6 +161,12 @@ def cmd_compare(args) -> int:
         "psiResiduals": {
             name: {"operator": op, "trajectory": traj}
             for name, (op, traj) in report.psi_residuals.items()
+        },
+        "diagnostics": {
+            "unitarityDefects": diag.unitarity_defects,
+            "assignmentCost": diag.assignment_cost,
+            "lsqRank": diag.lsq_rank,
+            "omegaReplaced": diag.omega_replaced,
         },
         "timings": {"totalSeconds": time.perf_counter() - started},
     }

@@ -16,8 +16,15 @@ distance from the origin give the d_min / d_avg / d_max deviations.
 The same unitary solutions pull back to observable space as the non-unitary
 transform T_C = (Omega W_g)^-1 C W_f, with Omega the diagonal that brings
 T_C as close as possible to the plain least squares map T_LSQ = Psi_g Psi_f+.
-W is invertible and C unitary, so (C W_f)^-1 = R_f C* with R = W^-1: each
-system's W is inverted once and every later step is a matrix product.
+W is invertible and C unitary, so (C W_f)^-1 = R_f C* with R = W^-1, the
+right eigenvectors each model keeps from its eigendecomposition: nothing
+here inverts or solves with W.
+
+C_r2 = Gamma P is a permutation with unit phases, and ``compare`` works with
+it in that form, (permutation, gamma), never as a dense operand: row k of
+C_r2 X is gamma_k X[pi^-1[k]], r2(C_r2) = ||lambda_f - lambda_g[pi]|| in
+closed form, and its unitarity defect is ||(|gamma|^2 - 1)|| / sqrt(n). The
+dense matrix is built once, for ``ParetoCorners.c_r2``.
 """
 from __future__ import annotations
 
@@ -46,8 +53,11 @@ class ParetoCorners:
 
     ``permutation`` maps row i of system f to its matched row in system g;
     ``gamma`` holds the unit-modulus diagonal entries of C_r2 = Gamma P.
-    Corner dominance (r1_at_cr1 <= r1_at_cr2 and r2_at_cr2 <= r2_at_cr1, up
-    to DOMINANCE_TOL) is what makes the rectangle construction meaningful.
+    Together they are C_r2; ``c_r2`` is the same transform as a dense
+    matrix, kept for callers that want it (``--emit-matrices`` reports) and
+    not used in any computation. Corner dominance (r1_at_cr1 <= r1_at_cr2
+    and r2_at_cr2 <= r2_at_cr1, up to DOMINANCE_TOL) is what makes the
+    rectangle construction meaningful.
     """
 
     c_r1: np.ndarray
@@ -67,6 +77,25 @@ class DeviationTriple:
     d_min: float
     d_avg: float
     d_max: float
+
+
+@dataclass(frozen=True)
+class CompareDiagnostics:
+    """Numerical health of one comparison.
+
+    ``unitarity_defects`` holds ||C*C - I||_F / sqrt(n) of C_r1 and C_r2, the
+    values their unitarity checks computed. ``assignment_cost`` is the
+    matched spectra's total squared distance sum |lambda_f[i] -
+    lambda_g[pi[i]]|^2. ``lsq_rank`` is the numerical rank of Psi_f at
+    pinv's relative cut-off. ``omega_replaced`` counts, per T_C, the
+    entries of Omega^-1 below OMEGA_ZERO_TOL that were replaced by 1; when
+    it nears n, that T_C is not a fitted transform.
+    """
+
+    unitarity_defects: dict[str, float]
+    assignment_cost: float
+    lsq_rank: int
+    omega_replaced: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -90,6 +119,7 @@ class ConjugacyReport:
     t_c_r1: np.ndarray
     t_c_r2: np.ndarray
     t_lsq: np.ndarray
+    diagnostics: CompareDiagnostics
     psi_residuals: dict[str, tuple[float | None, float]] = field(default_factory=dict)
 
 
@@ -115,22 +145,37 @@ def residual_r1(phi_f, phi_g, c) -> float:
     return float(np.linalg.norm(pg - c @ pf))
 
 
-def residual_r2(lambdas_f, lambdas_g, c) -> float:
-    """Spectral residual || Lambda_f - C* Lambda_g C ||_F for unitary C."""
+def _spectra(lambdas_f, lambdas_g) -> tuple[np.ndarray, np.ndarray]:
     lf = np.asarray(lambdas_f, dtype=complex).reshape(-1)
     lg = np.asarray(lambdas_g, dtype=complex).reshape(-1)
     if lf.shape != lg.shape:
         raise ValueError(f"spectrum length mismatch {lf.shape} vs {lg.shape}")
-    c = np.asarray(c, dtype=complex)
-    defect = unitarity_defect(c)
+    return lf, lg
+
+
+def _checked_unitary(defect: float) -> float:
+    """The unitarity defect of a C, if C passes as unitary."""
     if defect > UNITARY_TOL:
         raise ContractViolationError(
             f"C is not unitary (defect {defect:.3e} > {UNITARY_TOL:.0e})"
         )
+    return defect
+
+
+def residual_r2(lambdas_f, lambdas_g, c, return_defect: bool = False):
+    """Spectral residual || Lambda_f - C* Lambda_g C ||_F for unitary C.
+
+    With ``return_defect`` the result is (r2, unitarity defect of C), the
+    defect being the one the unitarity check computed.
+    """
+    lf, lg = _spectra(lambdas_f, lambdas_g)
+    c = np.asarray(c, dtype=complex)
+    defect = _checked_unitary(unitarity_defect(c))
     conjugated = c.conj().T @ (lg[:, None] * c)
     diag = np.arange(lf.shape[0])
     conjugated[diag, diag] -= lf
-    return float(np.linalg.norm(conjugated))
+    r2 = float(np.linalg.norm(conjugated))
+    return (r2, defect) if return_defect else r2
 
 
 def solve_c_r1(phi_f, phi_g) -> np.ndarray:
@@ -159,17 +204,24 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     col_of_row = np.full(n, -1)
     parent = np.empty(n, dtype=int)
     settled = np.empty(n)
+    # Reduced path lengths relative to the last settled one; inf once settled.
+    min_reduced = np.empty(n)
+    remaining = np.empty(n, dtype=bool)
+    # Work buffers: the inner loop allocates nothing.
+    reduced = np.empty(n)
+    better = np.empty(n, dtype=bool)
     for start in range(n):
-        # Reduced path lengths relative to the last settled one; inf once settled.
-        min_reduced = np.full(n, np.inf)
-        remaining = np.ones(n, dtype=bool)
+        min_reduced.fill(np.inf)
+        remaining.fill(True)
         i, total = start, 0.0
         while i >= 0:
-            reduced = cost[i] - u[i] - v
-            better = remaining & (reduced < min_reduced)
-            min_reduced[better] = reduced[better]
-            parent[better] = i
-            j = int(np.argmin(min_reduced))
+            np.subtract(cost[i], u[i], out=reduced)
+            reduced -= v
+            np.less(reduced, min_reduced, out=better)
+            better &= remaining
+            np.copyto(min_reduced, reduced, where=better)
+            np.copyto(parent, i, where=better)
+            j = int(min_reduced.argmin())
             delta = min_reduced[j]
             total += delta
             min_reduced -= delta
@@ -191,10 +243,7 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
 
 def solve_permutation(lambdas_f, lambdas_g) -> np.ndarray:
     """Match spectra: permutation pi minimizing sum |lambda_f[i] - lambda_g[pi[i]]|^2."""
-    lf = np.asarray(lambdas_f, dtype=complex).reshape(-1)
-    lg = np.asarray(lambdas_g, dtype=complex).reshape(-1)
-    if lf.shape != lg.shape:
-        raise ValueError(f"spectrum length mismatch {lf.shape} vs {lg.shape}")
+    lf, lg = _spectra(lambdas_f, lambdas_g)
     cost = np.abs(lf[:, None] - lg[None, :]) ** 2
     return _assignment(cost)
 
@@ -220,13 +269,13 @@ def solve_gamma(phi_f, phi_g, permutation) -> np.ndarray:
 
     The unconstrained least squares factor is Phi_g (P Phi_f)+; keeping only
     its diagonal and projecting each entry to the unit circle is the unitary
-    polar factor of that diagonal. Entries with modulus below GAMMA_ZERO_TOL
-    carry no phase information and default to 1.
+    polar factor of that diagonal. P Phi_f is the row gather Phi_f[pi^-1],
+    and only the diagonal of the product is formed. Entries with modulus
+    below GAMMA_ZERO_TOL carry no phase information and default to 1.
     """
     pf, pg = _phi_array(phi_f), _phi_array(phi_g)
-    p = permutation_matrix(permutation)
-    aligned = p @ pf
-    raw = np.diag(pg @ pinv(aligned))
+    aligned = pf[np.argsort(permutation)]
+    raw = np.einsum("ij,ji->i", pg, pinv(aligned))
     mod = np.abs(raw)
     safe = np.where(mod < GAMMA_ZERO_TOL, 1.0, raw)
     return np.where(mod < GAMMA_ZERO_TOL, 1.0 + 0.0j, safe / np.abs(safe))
@@ -354,28 +403,31 @@ def recover_t(
     T_C = (Omega W_g)^-1 C W_f, where the diagonal Omega resolves the scale
     freedom of the left eigenvectors by matching the least squares transform:
     Omega^-1 = Diag(W_g T_LSQ (C W_f)^-1), and (C W_f)^-1 = R_f C* exactly
-    for R = W^-1 and unitary C. Near-zero diagonal entries carry no
-    information and are replaced by 1 (with a warning).
+    for the models' R = W^-1 and unitary C. Near-zero diagonal entries carry
+    no information and are replaced by 1 (with a warning).
     """
     c = np.asarray(c, dtype=complex)
     if t_lsq is None:
         t_lsq = lsq_transform(psi_f, psi_g)
-    m = model_g.W @ t_lsq @ np.linalg.inv(model_f.W)
-    return _pull_back(c, m, model_f.W, np.linalg.inv(model_g.W))
+    m = model_g.W @ t_lsq @ model_f.R
+    return _pull_back(np.einsum("ij,ij->i", m, c.conj()), c @ model_f.W, model_g.R)[0]
 
 
-def _pull_back(c, m, w_f, r_g) -> np.ndarray:
-    """T_C = R_g Omega^-1 C W_f with Omega^-1 = Diag(M C*), M = W_g T_LSQ R_f."""
-    omega_inv = np.einsum("ij,ij->i", m, c.conj())
+def _pull_back(omega_inv, c_w_f, r_g) -> tuple[np.ndarray, int]:
+    """(T_C = R_g Omega^-1 C W_f, number of Omega^-1 entries replaced by 1).
+
+    ``omega_inv`` = Diag(M C*) with M = W_g T_LSQ R_f, and ``c_w_f`` = C W_f.
+    """
     tiny = np.abs(omega_inv) < OMEGA_ZERO_TOL
-    if np.any(tiny):
+    replaced = int(tiny.sum())
+    if replaced:
         warnings.warn(
-            f"{int(tiny.sum())} scale entries below {OMEGA_ZERO_TOL:.0e} replaced by 1",
+            f"{replaced} scale entries below {OMEGA_ZERO_TOL:.0e} replaced by 1",
             RuntimeWarning,
             stacklevel=3,
         )
         omega_inv[tiny] = 1.0
-    return r_g @ (omega_inv[:, None] * (c @ w_f))
+    return r_g @ (omega_inv[:, None] * c_w_f), replaced
 
 
 def _psi_space_residuals(
@@ -411,49 +463,74 @@ def compare(
     when ``normalization`` is "f" or "g"), forms the deviation triple, and
     recovers the observable-space transforms T_C and T_LSQ together with
     their residuals. Both corners are always computed; coincidence is
-    reported through the numbers rather than assumed.
+    reported through the numbers rather than assumed. C_r2 enters every
+    step as (permutation, gamma); see the module docstring. The
+    trajectories must be EigenfunctionTrajectory objects: Psi is rebuilt
+    with the scales they carry.
     """
     if normalization not in ("none", "f", "g"):
         raise ValueError(f"normalization must be 'none', 'f' or 'g', got {normalization!r}")
-    pf, pg = _phi_array(phi_f), _phi_array(phi_g)
+    if not all(isinstance(p, EigenfunctionTrajectory) for p in (phi_f, phi_g)):
+        raise TypeError("compare needs EigenfunctionTrajectory inputs, which carry their scales")
+    pf, pg = phi_f.phi, phi_g.phi
     if pf.shape != pg.shape:
         raise ValueError(
             f"systems must share dimensions, got {pf.shape} vs {pg.shape}"
         )
+    lf, lg = _spectra(model_f.lambdas, model_g.lambdas)
     c1 = solve_c_r1(pf, pg)
-    c2, pi, gamma = solve_c_r2(pf, pg, model_f.lambdas, model_g.lambdas)
+    c2, pi, gamma = solve_c_r2(pf, pg, lf, lg)
+    # Row k of C_r2 X is gamma_k X[inv_pi[k]].
+    inv_pi = np.argsort(pi)
 
     if normalization == "f":
         phi_norm = float(np.linalg.norm(pf))
-        lam_norm = float(np.linalg.norm(model_f.lambdas))
+        lam_norm = float(np.linalg.norm(lf))
     elif normalization == "g":
         phi_norm = float(np.linalg.norm(pg))
-        lam_norm = float(np.linalg.norm(model_g.lambdas))
+        lam_norm = float(np.linalg.norm(lg))
     else:
         phi_norm = lam_norm = 1.0
     if phi_norm == 0.0 or lam_norm == 0.0:
         raise ValueError("reference system has zero norm; cannot normalize")
 
+    r2_c1, defect_c1 = residual_r2(lf, lg, c1, return_defect=True)
+    # C_r2* C_r2 = diag(|gamma[pi]|^2): unitarity_defect(C_r2) in O(n). With
+    # unit-modulus gamma, C_r2* Lambda_g C_r2 = diag(lambda_g[pi]).
+    defect_c2 = _checked_unitary(
+        float(np.linalg.norm(np.abs(gamma) ** 2 - 1.0) / max(np.sqrt(pi.size), 1.0))
+    )
     corners = ParetoCorners(
         c_r1=c1,
         c_r2=c2,
         permutation=pi,
         gamma=gamma,
         r1_at_cr1=residual_r1(pf, pg, c1) / phi_norm,
-        r2_at_cr1=residual_r2(model_f.lambdas, model_g.lambdas, c1) / lam_norm,
-        r1_at_cr2=residual_r1(pf, pg, c2) / phi_norm,
-        r2_at_cr2=residual_r2(model_f.lambdas, model_g.lambdas, c2) / lam_norm,
+        r2_at_cr1=r2_c1 / lam_norm,
+        r1_at_cr2=float(np.linalg.norm(pg - gamma[:, None] * pf[inv_pi])) / phi_norm,
+        r2_at_cr2=float(np.linalg.norm(lf - lg[pi])) / lam_norm,
     )
     deviations = pareto_deviations(corners)
 
-    # Psi = R diag(1/scales) Phi; a trajectory carries the scales it was built with.
-    r_f, r_g = np.linalg.inv(model_f.W), np.linalg.inv(model_g.W)
-    psi_f_mat = r_f @ (pf / getattr(phi_f, "scales", model_f.scales)[:, None])
-    psi_g_mat = r_g @ (pg / getattr(phi_g, "scales", model_g.scales)[:, None])
+    # Psi = R diag(1/scales) Phi, with the scales each trajectory was built with.
+    psi_f_mat = model_f.R @ (pf / phi_f.scales[:, None])
+    psi_g_mat = model_g.R @ (pg / phi_g.scales[:, None])
     t_lsq, lsq_rank = lsq_transform(psi_f_mat, psi_g_mat, return_rank=True)
-    m = model_g.W @ t_lsq @ r_f
-    t_c1 = _pull_back(c1, m, model_f.W, r_g)
-    t_c2 = _pull_back(c2, m, model_f.W, r_g)
+    m = model_g.W @ t_lsq @ model_f.R
+    t_c1, replaced_c1 = _pull_back(
+        np.einsum("ij,ij->i", m, c1.conj()), c1 @ model_f.W, model_g.R
+    )
+    t_c2, replaced_c2 = _pull_back(
+        m[np.arange(pi.size), inv_pi] * gamma.conj(),
+        gamma[:, None] * model_f.W[inv_pi],
+        model_g.R,
+    )
+    diagnostics = CompareDiagnostics(
+        unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
+        assignment_cost=assignment_cost(lf, lg, pi),
+        lsq_rank=lsq_rank,
+        omega_replaced={"T_C_r1": replaced_c1, "T_C_r2": replaced_c2},
+    )
     residuals = {
         "T_C_r1": _psi_space_residuals(t_c1, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
         "T_C_r2": _psi_space_residuals(t_c2, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
@@ -469,5 +546,6 @@ def compare(
         t_c_r1=t_c1,
         t_c_r2=t_c2,
         t_lsq=t_lsq,
+        diagnostics=diagnostics,
         psi_residuals=residuals,
     )

@@ -13,10 +13,11 @@ and a complex array whose imaginary parts are all +0.0 are stored as
 (float64 for ``scales``) arrays bit for bit, and the header's floats go
 through JSON's shortest round-trip repr, which is exact too. The header's
 ``diagnostics`` object holds identification health numbers
-(``oneStepResidual``). Schema v1 files, which store complex arrays as
-row-major lists of [re, im] pairs, stay readable; only v2 is written. Both
-schemas share one validation path, and every malformed file raises
-FileFormatError.
+(``oneStepResidual``). R = W^-1 is not stored: loading inverts W once,
+and a W whose inverse fails or is not finite makes the file malformed.
+Schema v1 files, which store complex arrays as row-major lists of [re, im]
+pairs, stay readable; only v2 is written. Both schemas share one
+validation path, and every malformed file raises FileFormatError.
 
 Model files carry, besides the operator and its decomposition, the scaled
 eigenfunction values at the first sample (``phi0``) and the trajectory
@@ -236,6 +237,7 @@ def load_model(path: str) -> ModelRecord:
         n = int(doc["nPsi"])
         if n < 1:
             raise ValueError(f"nPsi must be positive, got {n}")
+        # R = W^-1 is formed here, once, by the model.
         model = KoopmanModel(
             K=_read_array(doc, "K", (n, n), complex, version),
             lambdas=_read_array(doc, "Lambda", (n,), complex, version),

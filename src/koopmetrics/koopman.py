@@ -148,14 +148,19 @@ class ObservableMatrix:
         return self.psi[self.primary_start : self.aux_start]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KoopmanModel:
     """Identified operator with its spectral decomposition.
 
     ``W`` holds left eigenvectors as rows (W @ K = diag(lambdas) @ W) and maps
-    observables to eigenfunction coordinates. ``scales`` are the per-row
-    normalization factors applied when eigenfunction trajectories were last
-    computed (ones until then).
+    observables to eigenfunction coordinates; ``R`` = W^-1 holds the right
+    eigenvectors as columns and maps back. ``decompose`` keeps the R that
+    ``eig`` produced; when R is not given it is computed once as inv(W), and
+    a W without a finite inverse is a ValueError.
+    ``scales`` are the per-row normalization factors of the trajectory the
+    model was saved with (ones from ``decompose``). The model is immutable:
+    a trajectory carries its own scales, and a model with other scales is
+    a ``dataclasses.replace`` copy.
     """
 
     K: np.ndarray
@@ -165,6 +170,17 @@ class KoopmanModel:
     eig_condition: float
     ridge: float
     dt: float
+    R: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.R is None:
+            try:
+                r = np.linalg.inv(self.W)
+            except np.linalg.LinAlgError:
+                raise ValueError("W: singular, no right eigenvectors") from None
+            if not np.all(np.isfinite(r)):
+                raise ValueError("W: inverse has non-finite entries")
+            object.__setattr__(self, "R", r)
 
     @property
     def n_psi(self) -> int:
@@ -309,8 +325,8 @@ def decompose(
 
     W is the inverse of the right-eigenvector matrix, so its rows are left
     eigenvectors and W @ K = diag(lambdas) @ W. Pass ``eig_result`` when
-    eig(K) is already at hand. Scales start at ones and are filled in by
-    eigenfunction_trajectories.
+    eig(K) is already at hand. The model keeps eig's R as well, so no later
+    step inverts W. Scales start at ones.
     """
     arr = as_matrix(K, "K")
     if arr.shape[0] != arr.shape[1]:
@@ -333,6 +349,7 @@ def decompose(
         eig_condition=res.condition_number,
         ridge=float(ridge),
         dt=float(dt),
+        R=res.R,
     )
 
 
@@ -343,8 +360,8 @@ def eigenfunction_trajectories(
 
     Each row of W @ Psi is divided by its maximum modulus over the observed
     steps; rows that never rise above DEGENERATE_ROW_TOL are left unscaled
-    and flagged rather than amplified. ``model.scales`` is updated in place
-    to the factors used.
+    and flagged rather than amplified. The factors used are returned in the
+    trajectory's ``scales``; the model is not changed.
     """
     if model.n_psi != obs.n_psi:
         raise ValueError(
@@ -355,7 +372,6 @@ def eigenfunction_trajectories(
     degenerate = np.flatnonzero(max_mod < DEGENERATE_ROW_TOL)
     scales = np.where(max_mod < DEGENERATE_ROW_TOL, 1.0, 1.0 / np.where(max_mod == 0, 1.0, max_mod))
     phi = raw * scales[:, None]
-    model.scales = scales
     return EigenfunctionTrajectory(
         phi=phi, scales=scales, degenerate_rows=tuple(int(i) for i in degenerate)
     )
@@ -364,8 +380,8 @@ def eigenfunction_trajectories(
 def reconstruct_observables(
     model: KoopmanModel, traj: EigenfunctionTrajectory
 ) -> np.ndarray:
-    """Invert the eigenfunction map: Psi = W^-1 @ diag(1/scales) @ Phi."""
-    return np.linalg.solve(model.W, traj.phi / traj.scales[:, None])
+    """Invert the eigenfunction map: Psi = R @ diag(1/scales) @ Phi, R = W^-1."""
+    return model.R @ (traj.phi / traj.scales[:, None])
 
 
 def free_run(K, psi0, steps: int) -> np.ndarray:

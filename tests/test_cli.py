@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from koopmetrics import io
+from koopmetrics import cli, io, koopman
 from koopmetrics.benchmark import BenchmarkParams, benchmark_system
 from koopmetrics.cli import main
 from koopmetrics.io import ModelRecord, load_model, read_trajectory_csv
@@ -81,7 +81,46 @@ class TestIdentify:
         assert not np.any(np.signbit(record.model.K.imag))
 
 
+    def test_saved_scales_are_the_trajectory_scales(self, tmp_path, monkeypatch):
+        trajectories = []
+
+        def recording(model, obs):
+            traj = koopman.eigenfunction_trajectories(model, obs)
+            trajectories.append((model, traj))
+            return traj
+
+        monkeypatch.setattr(cli, "eigenfunction_trajectories", recording)
+        csv, out = tmp_path / "geo.csv", tmp_path / "model.json"
+        write_geometric_csv(csv, n=30)
+        assert main(["identify", "--input", str(csv), "--output", str(out)]) == 0
+        (model, traj), = trajectories
+        saved = load_model(str(out))
+        assert saved.model.scales.tobytes() == traj.scales.tobytes()
+        assert saved.phi0.tobytes() == traj.phi[:, 0].tobytes()
+        # The decomposed model itself was not rewritten.
+        np.testing.assert_array_equal(model.scales, np.ones(model.n_psi))
+
+
 class TestCompare:
+    def test_report_diagnostics(self, tmp_path):
+        p = BenchmarkParams(steps=300)
+        a, b = tmp_path / "f.json", tmp_path / "g.json"
+        save_benchmark_model(a, p, "f")
+        save_benchmark_model(b, p, "g")
+        report = tmp_path / "r.json"
+        assert main(["compare", "--model-a", str(a), "--model-b", str(b),
+                     "--output", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        diag = doc["diagnostics"]
+        assert set(diag) == {"unitarityDefects", "assignmentCost", "lsqRank", "omegaReplaced"}
+        assert set(diag["unitarityDefects"]) == {"C_r1", "C_r2"}
+        assert all(0.0 <= d < 1e-12 for d in diag["unitarityDefects"].values())
+        lf, lg = load_model(str(a)).model.lambdas, load_model(str(b)).model.lambdas
+        pi = np.array(doc["permutation"])
+        assert diag["assignmentCost"] == pytest.approx(np.sum(np.abs(lf - lg[pi]) ** 2), rel=1e-12)
+        assert diag["lsqRank"] == 3
+        assert diag["omegaReplaced"] == {"T_C_r1": 0, "T_C_r2": 0}
+
     def test_model_against_itself(self, tmp_path):
         model_path = tmp_path / "f.json"
         save_benchmark_model(model_path, BenchmarkParams(steps=300), "f")
@@ -183,6 +222,7 @@ class TestCompare:
         assert np.isfinite(psi["T_LSQ"]["trajectory"])
         for name in ("T_C_r1", "T_C_r2"):
             assert np.isfinite(psi[name]["operator"])
+        assert json.loads(text)["diagnostics"]["lsqRank"] < load_model(str(model)).model.n_psi
 
     def test_full_rank_lsq_operator_residual_is_a_number(self, tmp_path):
         p = BenchmarkParams(steps=300)

@@ -1,8 +1,10 @@
 """Residuals, corner solvers, rectangle geometry, and the full comparison."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koopmetrics.conjugacy import (
     ContractViolationError,
@@ -22,6 +24,7 @@ from koopmetrics.conjugacy import (
     solve_gamma,
     solve_permutation,
 )
+from koopmetrics.koopman import KoopmanModel, eigenfunction_trajectories
 from koopmetrics.linalg import pinv, svd, unitarity_defect
 
 from conftest import (
@@ -30,6 +33,7 @@ from conftest import (
     random_system,
     random_unitary,
     random_well_conditioned,
+    raw_observables,
 )
 
 
@@ -442,6 +446,16 @@ class TestCompare:
                 cb = getattr(d[2, 1], attr)
                 assert ab <= ac + cb + 1e-8
 
+    def test_bare_phi_arrays_rejected(self, rng):
+        # A bare array has no scales to rebuild Psi with; the model's own
+        # scales belong to the trajectory it was saved with, if any.
+        model_a, phi_a = random_system(rng, 4, 20)
+        model_b, phi_b = random_system(rng, 4, 20)
+        with pytest.raises(TypeError, match="EigenfunctionTrajectory"):
+            compare(model_a, phi_a.phi, model_b, phi_b)
+        with pytest.raises(TypeError, match="EigenfunctionTrajectory"):
+            compare(model_a, phi_a, model_b, phi_b.phi)
+
     def test_dimension_mismatch_rejected(self, rng):
         model_a, phi_a = random_system(rng, 4, 20)
         model_b, phi_b = random_system(rng, 5, 20)
@@ -501,14 +515,112 @@ class TestPsiSpace:
         ):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
-        # Corners and deviations come before any pull-back and stay bit-identical.
-        c2, pi, _ = solve_c_r2(phi_f, phi_g, model_f.lambdas, model_g.lambdas)
+        # Corners and deviations come before any pull-back. C_r1 goes through
+        # the dense public functions; C_r2 as (permutation, gamma), so r2(C_r2)
+        # is the closed form exactly and both of its residuals match the dense
+        # functions to rounding.
+        lf, lg = model_f.lambdas, model_g.lambdas
+        c2, pi, _ = solve_c_r2(phi_f, phi_g, lf, lg)
         np.testing.assert_array_equal(corners.permutation, pi)
         np.testing.assert_array_equal(corners.c_r2, c2)
-        phi_norm, lam_norm = np.linalg.norm(phi_f.phi), np.linalg.norm(model_f.lambdas)
+        phi_norm, lam_norm = np.linalg.norm(phi_f.phi), np.linalg.norm(lf)
         c1 = solve_c_r1(phi_f, phi_g)
         assert corners.r1_at_cr1 == residual_r1(phi_f, phi_g, c1) / phi_norm
-        assert corners.r2_at_cr1 == residual_r2(model_f.lambdas, model_g.lambdas, c1) / lam_norm
-        assert corners.r1_at_cr2 == residual_r1(phi_f, phi_g, c2) / phi_norm
-        assert corners.r2_at_cr2 == residual_r2(model_f.lambdas, model_g.lambdas, c2) / lam_norm
+        assert corners.r2_at_cr1 == residual_r2(lf, lg, c1) / lam_norm
+        assert corners.r2_at_cr2 == np.linalg.norm(lf - lg[pi]) / lam_norm
+        rel = n * np.finfo(float).eps * np.sqrt(n)
+        assert corners.r1_at_cr2 == pytest.approx(residual_r1(phi_f, phi_g, c2) / phi_norm, rel=rel)
+        assert corners.r2_at_cr2 == pytest.approx(residual_r2(lf, lg, c2) / lam_norm, rel=rel)
         assert report.deviations == pareto_deviations(corners)
+
+
+def spectrum(rng, n, kind):
+    """n eigenvalues in the unit disc: spread, with ties, or in conjugate pairs."""
+    if kind == "tied":
+        distinct = random_spectrum(rng, max(1, n // 3))
+        return distinct[rng.integers(0, distinct.size, n)]
+    lam = random_spectrum(rng, n)
+    if kind == "conjugate":
+        lam[1::2] = lam[0:n - 1:2].conj()
+        if n % 2:
+            lam[-1] = lam[-1].real
+    return lam
+
+
+def system_with_spectrum(rng, lambdas, n_steps, real, order):
+    """Model with eigenvalues lambdas[order] (R well conditioned) and its trajectory.
+
+    With ``real``, ``lambdas`` holds conjugate pairs at (0, 1), (2, 3), ...
+    and the eigenvector columns and observables follow: K and Psi are real,
+    and eigenfunction rows come in conjugate pairs as well.
+    """
+    n = lambdas.size
+    r = random_well_conditioned(rng, n)
+    psi = rng.standard_normal((n, n_steps)) + 1j * rng.standard_normal((n, n_steps))
+    if real:
+        r[:, 1::2] = r[:, 0:n - 1:2].conj()
+        if n % 2:
+            r[:, -1] = r[:, -1].real
+        psi = psi.real.copy()
+    r, lambdas = r[:, order], lambdas[order]
+    w = np.linalg.inv(r)
+    model = KoopmanModel(
+        K=(r * lambdas) @ w, lambdas=lambdas, W=w, scales=np.ones(n),
+        eig_condition=float(np.linalg.norm(r) * np.linalg.norm(w)), ridge=0.0, dt=0.1, R=r,
+    )
+    return model, eigenfunction_trajectories(model, raw_observables(psi))
+
+
+class TestStructuredCr2MatchesDense:
+    """``compare`` evaluates C_r2 as (permutation, gamma); the dense public
+    functions applied to the dense C_r2 must give the same numbers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 14),
+        kind=st.sampled_from(["spread", "tied", "conjugate"]),
+        g_permutes_f=st.booleans(),
+        fewer_steps=st.booleans(),
+    )
+    def test_residuals_diagnostics_and_transforms(self, seed, n, kind, g_permutes_f, fewer_steps):
+        rng = np.random.default_rng(seed)
+        n_steps = n // 2 + 1 if fewer_steps else 2 * n
+        lf = spectrum(rng, n, kind)
+        lg = lf if g_permutes_f else spectrum(rng, n, kind)
+        real = kind == "conjugate"
+        model_f, phi_f = system_with_spectrum(rng, lf, n_steps, real, np.arange(n))
+        model_g, phi_g = system_with_spectrum(rng, lg, n_steps, real, rng.permutation(n))
+        lf, lg = model_f.lambdas, model_g.lambdas
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = compare(model_f, phi_f, model_g, phi_g, "none")
+        corners, diag = report.corners, report.diagnostics
+
+        c2, pi, gamma = solve_c_r2(phi_f, phi_g, lf, lg)
+        np.testing.assert_array_equal(corners.permutation, pi)
+        np.testing.assert_array_equal(corners.gamma, gamma)
+        np.testing.assert_array_equal(corners.c_r2, c2)
+
+        eps = np.finfo(float).eps
+        tol = n * eps * np.sqrt(n)
+        phi_scale = np.linalg.norm(phi_f.phi) + np.linalg.norm(phi_g.phi)
+        lam_scale = np.linalg.norm(lf) + np.linalg.norm(lg)
+        assert abs(corners.r1_at_cr2 - residual_r1(phi_f, phi_g, c2)) <= tol * phi_scale
+        assert abs(corners.r2_at_cr2 - residual_r2(lf, lg, c2)) <= tol * lam_scale
+        assert corners.r2_at_cr2 == np.linalg.norm(lf - lg[pi])
+
+        assert diag.unitarity_defects["C_r1"] == unitarity_defect(corners.c_r1)
+        assert abs(diag.unitarity_defects["C_r2"] - unitarity_defect(c2)) <= tol
+        assert diag.assignment_cost == assignment_cost(lf, lg, pi)
+        assert (diag.lsq_rank < n) if fewer_steps else (diag.lsq_rank == n)
+
+        psi_f = model_f.R @ (phi_f.phi / phi_f.scales[:, None])
+        psi_g = model_g.R @ (phi_g.phi / phi_g.scales[:, None])
+        cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t_c1 = recover_t(corners.c_r1, model_f, model_g, psi_f, psi_g, report.t_lsq)
+            t_c2 = recover_t(c2, model_f, model_g, psi_f, psi_g, report.t_lsq)
+        np.testing.assert_array_equal(report.t_c_r1, t_c1)
+        assert np.linalg.norm(report.t_c_r2 - t_c2) <= n * eps * cond * np.linalg.norm(t_c2)

@@ -150,6 +150,8 @@ V2_EDITS = {
     "nan": lambda doc: payload(doc, "phi0", "<c16", [1, 2, complex(0, np.nan), 4]),
     "inf-scales": lambda doc: payload(doc, "scales", "<f8", [1, np.inf, 1, 1]),
     "zero-nPsi": lambda doc: doc.update(nPsi=0),
+    "singular-W": lambda doc: payload(doc, "W", "<c16", np.zeros(16)),
+    "subnormal-W": lambda doc: payload(doc, "W", "<c16", 1e-310 * np.eye(4).ravel()),
 }
 
 
@@ -224,6 +226,25 @@ class TestModelFile:
         save_model(record, path)
         corrupt(path, lambda doc: doc.update(schemaVersion=99))
         with pytest.raises(FileFormatError, match="schema"):
+            load_model(path)
+
+    def test_right_eigenvectors_from_one_inverse(self, record, tmp_path):
+        path = str(tmp_path / "model.json")
+        save_model(record, path)
+        assert "R" not in json.load(open(path))
+        model = load_model(path).model
+        np.testing.assert_array_equal(model.R, np.linalg.inv(model.W))
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [(np.zeros(16), "singular"), (1e-310 * np.eye(4).ravel(), "non-finite")],
+        ids=["singular", "subnormal"],
+    )
+    def test_uninvertible_w_is_a_format_error(self, record, tmp_path, w, message):
+        path = str(tmp_path / "model.json")
+        save_model(record, path)
+        corrupt(path, lambda doc: payload(doc, "W", "<c16", w))
+        with pytest.raises(FileFormatError, match=f"W: .*{message}"):
             load_model(path)
 
     @pytest.mark.parametrize("edit", V1_EDITS.values(), ids=V1_EDITS.keys())

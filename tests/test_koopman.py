@@ -1,4 +1,6 @@
 """Identification pipeline: observables, least squares, eigenfunctions."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,25 @@ class TestDecompose:
         pi = solve_permutation(expected, model.lambdas)
         np.testing.assert_allclose(model.lambdas[pi], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_keeps_eig_right_eigenvectors(self, rng, dtype):
+        k = random_diagonalizable(rng, 6)
+        k = (k.real if dtype is float else k).astype(dtype)
+        res = eig(k)
+        model = decompose(k, dt=0.1)
+        for got, want in ((model.R, res.R), (model.W, res.W), (model.lambdas, res.lambdas)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_right_eigenvectors_default_to_inverse_of_w(self, rng):
+        w = random_well_conditioned(rng, 4)
+        model = KoopmanModel(
+            K=np.eye(4, dtype=complex), lambdas=np.ones(4, dtype=complex), W=w,
+            scales=np.ones(4), eig_condition=1.0, ridge=0.0, dt=0.1,
+        )
+        np.testing.assert_array_equal(model.R, np.linalg.inv(w))
+        with pytest.raises(ValueError, match="singular"):
+            dataclasses.replace(model, W=np.zeros((4, 4), dtype=complex), R=None)
+
     def test_left_eigenvector_residual(self, rng):
         k = random_diagonalizable(rng, 5)
         model = decompose(k, dt=0.2)
@@ -202,15 +223,29 @@ class TestEigenfunctions:
         assert traj.scales[0] == pytest.approx(0.5)
 
     def test_rows_normalized_to_unit_max(self, rng):
-        model, traj = lifted_system(
-            random_diagonalizable(rng, 4),
-            rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9)),
-        )
+        psi = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+        model, traj = lifted_system(random_diagonalizable(rng, 4), psi)
         assert not traj.degenerate_rows
         np.testing.assert_allclose(
             np.max(np.abs(traj.phi), axis=1), np.ones(4), atol=1e-12
         )
-        np.testing.assert_array_equal(model.scales, traj.scales)
+        # The scales travel with the trajectory; the model keeps its own.
+        np.testing.assert_array_equal(
+            traj.scales, 1.0 / np.max(np.abs(model.W @ psi), axis=1)
+        )
+        np.testing.assert_array_equal(model.scales, np.ones(4))
+
+    def test_model_unchanged_by_trajectories(self, rng):
+        model = decompose(random_diagonalizable(rng, 5), dt=0.1)
+        before = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+        snapshot = {k: np.array(v, copy=True) for k, v in before.items()}
+        psi = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+        eigenfunction_trajectories(model, raw_observables(psi))
+        for name, value in before.items():
+            assert getattr(model, name) is value
+            np.testing.assert_array_equal(np.asarray(value), snapshot[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.scales = np.full(5, 2.0)
 
     def test_degenerate_row_flagged(self):
         psi = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
