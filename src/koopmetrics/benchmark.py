@@ -169,9 +169,8 @@ def _sweep_point(args) -> tuple:
     try:
         report = compare_pair(point, normalization="f")
         c = report.corners
-        c_gap = float(
-            np.linalg.norm(c.c_r1 - c.c_r2) / np.linalg.norm(c.c_r2)
-        )
+        c_r2 = c.c_r2
+        c_gap = float(np.linalg.norm(c.c_r1 - c_r2) / np.linalg.norm(c_r2))
         return (
             float(alpha),
             float(beta),

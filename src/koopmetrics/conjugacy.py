@@ -20,11 +20,16 @@ W is invertible and C unitary, so (C W_f)^-1 = R_f C* with R = W^-1, the
 right eigenvectors each model keeps from its eigendecomposition: nothing
 here inverts or solves with W.
 
+Their operator residuals ||K_f - T^-1 K_g T||_F need neither K nor a solve
+with T: K = R Lambda W (gated by ``decompose``) and T_C^-1 = R_f C* Omega W_g
+give ||R_f (Lambda_f - C* Lambda_g C) W_f||_F whatever Omega and cond(T_C) are;
+T_LSQ = R_g M W_f, M = W_g T_LSQ R_f, gives the bracket Lambda_f - M^-1 Lambda_g M.
+
 C_r2 = Gamma P is a permutation with unit phases, and ``compare`` works with
 it in that form, (permutation, gamma), never as a dense operand: row k of
 C_r2 X is gamma_k X[pi^-1[k]], r2(C_r2) = ||lambda_f - lambda_g[pi]|| in
-closed form, and its unitarity defect is ||(|gamma|^2 - 1)|| / sqrt(n). The
-dense matrix is built once, for ``ParetoCorners.c_r2``.
+closed form (its bracket is that diagonal), and its unitarity defect is
+||(|gamma|^2 - 1)|| / sqrt(n). ``ParetoCorners.c_r2`` builds it densely on demand.
 """
 from __future__ import annotations
 
@@ -33,14 +38,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .koopman import EigenfunctionTrajectory, KoopmanModel
+from .koopman import EigenfunctionTrajectory, KoopmanModel, reconstruct_observables
 from .linalg import pinv, svd, unitarity_defect
 
 UNITARY_TOL = 1e-8
 DOMINANCE_TOL = 1e-9
 GAMMA_ZERO_TOL = 1e-14
 OMEGA_ZERO_TOL = 1e-14
-DEGENERATE_RECT_TOL = 1e-9
+# d_avg: 16-point Gauss-Legendre along rectangle sides FAR_SIDES lengths from the origin.
+FAR_SIDES = 2.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_MEAN = _GL_WEIGHTS / 2
 
 
 class ContractViolationError(ValueError):
@@ -53,21 +61,25 @@ class ParetoCorners:
 
     ``permutation`` maps row i of system f to its matched row in system g;
     ``gamma`` holds the unit-modulus diagonal entries of C_r2 = Gamma P.
-    Together they are C_r2; ``c_r2`` is the same transform as a dense
-    matrix, kept for callers that want it (``--emit-matrices`` reports) and
-    not used in any computation. Corner dominance (r1_at_cr1 <= r1_at_cr2
+    Together they are C_r2, which is stored only in that form; ``c_r2``
+    builds the dense matrix on each access, for callers that want it
+    (``--emit-matrices`` reports). Corner dominance (r1_at_cr1 <= r1_at_cr2
     and r2_at_cr2 <= r2_at_cr1, up to DOMINANCE_TOL) is what makes the
     rectangle construction meaningful.
     """
 
     c_r1: np.ndarray
-    c_r2: np.ndarray
     permutation: np.ndarray
     gamma: np.ndarray
     r1_at_cr1: float
     r2_at_cr1: float
     r1_at_cr2: float
     r2_at_cr2: float
+
+    @property
+    def c_r2(self) -> np.ndarray:
+        """C_r2 = Gamma P as a dense matrix, built on each access."""
+        return self.gamma[:, None] * permutation_matrix(self.permutation)
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,10 @@ class ConjugacyReport:
     residuals ("none", "f", or "g"); ``ref_norms`` stores the divisors
     (1, 1) when no reference was chosen. ``psi_residuals`` maps transform
     name -> (operator residual, trajectory residual) in observable space.
-    The operator residual ||K_f - T^-1 K_g T||_F is None where it is not
-    defined: for T_LSQ when Psi_f has numerical rank below n at pinv's
-    relative cut-off (always so with fewer snapshots than observables),
-    since T_LSQ = Psi_g Psi_f+ is then singular.
+    The operator residual ||K_f - T^-1 K_g T||_F, taken in the eigenbasis
+    (module docstring), is None where undefined: for T_LSQ when Psi_f has
+    numerical rank below n at pinv's relative cut-off (always so with fewer
+    snapshots than observables), since T_LSQ = Psi_g Psi_f+ is then singular.
     """
 
     corners: ParetoCorners
@@ -123,22 +135,17 @@ class ConjugacyReport:
     psi_residuals: dict[str, tuple[float | None, float]] = field(default_factory=dict)
 
 
-def _phi_array(traj) -> np.ndarray:
-    if isinstance(traj, EigenfunctionTrajectory):
-        return traj.phi
-    return np.asarray(traj, dtype=complex)
-
-
-def _psi_array(obs) -> np.ndarray:
-    psi = getattr(obs, "psi", obs)
-    return np.asarray(psi, dtype=complex)
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays as complex, checked to share one shape."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a, b
 
 
 def residual_r1(phi_f, phi_g, c) -> float:
     """Trajectory residual || Phi_g - C Phi_f ||_F."""
-    pf, pg = _phi_array(phi_f), _phi_array(phi_g)
-    if pf.shape != pg.shape:
-        raise ValueError(f"shape mismatch {pf.shape} vs {pg.shape}")
+    pf, pg = _pair(phi_f, phi_g)
     c = np.asarray(c, dtype=complex)
     if c.shape != (pf.shape[0], pf.shape[0]):
         raise ValueError(f"C shape {c.shape} does not match Phi rows {pf.shape[0]}")
@@ -146,11 +153,7 @@ def residual_r1(phi_f, phi_g, c) -> float:
 
 
 def _spectra(lambdas_f, lambdas_g) -> tuple[np.ndarray, np.ndarray]:
-    lf = np.asarray(lambdas_f, dtype=complex).reshape(-1)
-    lg = np.asarray(lambdas_g, dtype=complex).reshape(-1)
-    if lf.shape != lg.shape:
-        raise ValueError(f"spectrum length mismatch {lf.shape} vs {lg.shape}")
-    return lf, lg
+    return _pair(np.ravel(lambdas_f), np.ravel(lambdas_g))
 
 
 def _checked_unitary(defect: float) -> float:
@@ -162,27 +165,25 @@ def _checked_unitary(defect: float) -> float:
     return defect
 
 
-def residual_r2(lambdas_f, lambdas_g, c, return_defect: bool = False):
-    """Spectral residual || Lambda_f - C* Lambda_g C ||_F for unitary C.
-
-    With ``return_defect`` the result is (r2, unitarity defect of C), the
-    defect being the one the unitarity check computed.
-    """
+def _spectral_bracket(lambdas_f, lambdas_g, c) -> tuple[np.ndarray, float]:
+    """(C* Lambda_g C - Lambda_f, unitarity defect of C) for a C that passes as unitary."""
     lf, lg = _spectra(lambdas_f, lambdas_g)
     c = np.asarray(c, dtype=complex)
     defect = _checked_unitary(unitarity_defect(c))
-    conjugated = c.conj().T @ (lg[:, None] * c)
+    bracket = c.conj().T @ (lg[:, None] * c)
     diag = np.arange(lf.shape[0])
-    conjugated[diag, diag] -= lf
-    r2 = float(np.linalg.norm(conjugated))
-    return (r2, defect) if return_defect else r2
+    bracket[diag, diag] -= lf
+    return bracket, defect
+
+
+def residual_r2(lambdas_f, lambdas_g, c) -> float:
+    """Spectral residual || Lambda_f - C* Lambda_g C ||_F for unitary C."""
+    return float(np.linalg.norm(_spectral_bracket(lambdas_f, lambdas_g, c)[0]))
 
 
 def solve_c_r1(phi_f, phi_g) -> np.ndarray:
     """Unitary minimizer of r1: U V* from the SVD of Phi_g Phi_f*."""
-    pf, pg = _phi_array(phi_f), _phi_array(phi_g)
-    if pf.shape != pg.shape:
-        raise ValueError(f"shape mismatch {pf.shape} vs {pg.shape}")
+    pf, pg = _pair(phi_f, phi_g)
     res = svd(pg @ pf.conj().T)
     return res.U @ res.V.conj().T
 
@@ -250,8 +251,7 @@ def solve_permutation(lambdas_f, lambdas_g) -> np.ndarray:
 
 def assignment_cost(lambdas_f, lambdas_g, permutation) -> float:
     """Total squared matching cost of a given permutation."""
-    lf = np.asarray(lambdas_f, dtype=complex).reshape(-1)
-    lg = np.asarray(lambdas_g, dtype=complex).reshape(-1)
+    lf, lg = _spectra(lambdas_f, lambdas_g)
     return float(np.sum(np.abs(lf - lg[np.asarray(permutation)]) ** 2))
 
 
@@ -273,7 +273,7 @@ def solve_gamma(phi_f, phi_g, permutation) -> np.ndarray:
     and only the diagonal of the product is formed. Entries with modulus
     below GAMMA_ZERO_TOL carry no phase information and default to 1.
     """
-    pf, pg = _phi_array(phi_f), _phi_array(phi_g)
+    pf, pg = _pair(phi_f, phi_g)
     aligned = pf[np.argsort(permutation)]
     raw = np.einsum("ij,ji->i", pg, pinv(aligned))
     mod = np.abs(raw)
@@ -289,8 +289,7 @@ def solve_c_r2(phi_f, phi_g, lambdas_f, lambdas_g):
     """
     pi = solve_permutation(lambdas_f, lambdas_g)
     gamma = solve_gamma(phi_f, phi_g, pi)
-    c = gamma[:, None] * permutation_matrix(pi)
-    return c, pi, gamma
+    return gamma[:, None] * permutation_matrix(pi), pi, gamma
 
 
 def mean_corner_distance(d1: float, d2: float) -> float:
@@ -315,9 +314,7 @@ def mean_corner_distance(d1: float, d2: float) -> float:
 
 
 def _segment_mean(a: float, b_lo: float, b_hi: float) -> float:
-    """Mean of sqrt(a^2 + y^2) for y uniform on [b_lo, b_hi]."""
-    if b_hi - b_lo <= 0.0:
-        return float(np.hypot(a, b_lo))
+    """Mean of sqrt(a^2 + y^2) for y uniform on [b_lo, b_hi], b_lo < b_hi."""
     if a == 0.0:
         return 0.5 * (b_lo + b_hi)
 
@@ -328,14 +325,31 @@ def _segment_mean(a: float, b_lo: float, b_hi: float) -> float:
 
 
 def _rectangle_mean(a_lo, a_hi, b_lo, b_hi) -> float:
-    """Mean distance from the origin over [a_lo, a_hi] x [b_lo, b_hi]."""
-    num = (
-        a_hi * b_hi * mean_corner_distance(2 * a_hi, 2 * b_hi)
-        - a_lo * b_hi * mean_corner_distance(2 * a_lo, 2 * b_hi)
-        - a_hi * b_lo * mean_corner_distance(2 * a_hi, 2 * b_lo)
-        + a_lo * b_lo * mean_corner_distance(2 * a_lo, 2 * b_lo)
-    )
-    return float(num / ((a_hi - a_lo) * (b_hi - b_lo)))
+    """Mean distance from the origin over [a_lo, a_hi] x [b_lo, b_hi], a_lo, b_lo >= 0.
+
+    The closed form over four corner rectangles loses about eps d^2 / (w h)
+    to cancellation at distance d, so it is kept only within FAR_SIDES short
+    sides of the origin, where no side is zero. Farther out, Gauss-Legendre
+    averages along the short side, and along the long side too once that is
+    FAR_SIDES lengths away; a collapsed side gives its segment or point.
+    """
+    w, h = a_hi - a_lo, b_hi - b_lo
+    near = np.hypot(a_lo, b_lo)
+    if near < FAR_SIDES * min(w, h):
+        num = (
+            a_hi * b_hi * mean_corner_distance(2 * a_hi, 2 * b_hi)
+            - a_lo * b_hi * mean_corner_distance(2 * a_lo, 2 * b_hi)
+            - a_hi * b_lo * mean_corner_distance(2 * a_hi, 2 * b_lo)
+            + a_lo * b_lo * mean_corner_distance(2 * a_lo, 2 * b_lo)
+        )
+        return float(num / (w * h))
+    if w > h:  # x runs along the short side
+        a_lo, a_hi, b_lo, b_hi, w, h = b_lo, b_hi, a_lo, a_hi, h, w
+    x = 0.5 * (a_lo + a_hi) + 0.5 * w * _GL_NODES
+    if near < FAR_SIDES * h:
+        return float(_GL_MEAN @ [_segment_mean(xi, b_lo, b_hi) for xi in x])
+    y = 0.5 * (b_lo + b_hi) + 0.5 * h * _GL_NODES
+    return float(_GL_MEAN @ np.hypot(x[:, None], y) @ _GL_MEAN)
 
 
 def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
@@ -343,10 +357,8 @@ def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
 
     The rectangle [r1(C_r1), r1(C_r2)] x [r2(C_r2), r2(C_r1)] bounds every
     Pareto-optimal residual pair; d_min and d_max are the distances to its
-    near and far corners and d_avg is the exact mean distance over it. When
-    a side collapses below DEGENERATE_RECT_TOL * d_max, the mean is taken
-    over the remaining segment (both sides collapsed: d_avg = d_min), which
-    removes the 0/0 in the closed form without changing the limit.
+    near and far corners and d_avg is the exact mean distance over it, also
+    when a side has collapsed to a segment or a point.
     """
     a_lo, a_hi = corners.r1_at_cr1, corners.r1_at_cr2
     b_lo, b_hi = corners.r2_at_cr2, corners.r2_at_cr1
@@ -361,17 +373,7 @@ def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
     b_hi = max(b_hi, b_lo)
     d_min = float(np.hypot(a_lo, b_lo))
     d_max = float(np.hypot(a_hi, b_hi))
-    width_flat = (a_hi - a_lo) <= DEGENERATE_RECT_TOL * d_max
-    height_flat = (b_hi - b_lo) <= DEGENERATE_RECT_TOL * d_max
-    if width_flat and height_flat:
-        d_avg = d_min
-    elif width_flat:
-        d_avg = _segment_mean(0.5 * (a_lo + a_hi), b_lo, b_hi)
-    elif height_flat:
-        d_avg = _segment_mean(0.5 * (b_lo + b_hi), a_lo, a_hi)
-    else:
-        d_avg = _rectangle_mean(a_lo, a_hi, b_lo, b_hi)
-    d_avg = min(max(d_avg, d_min), d_max)
+    d_avg = min(max(_rectangle_mean(a_lo, a_hi, b_lo, b_hi), d_min), d_max)
     return DeviationTriple(d_min=d_min, d_avg=d_avg, d_max=d_max)
 
 
@@ -382,9 +384,7 @@ def lsq_transform(psi_f, psi_g, return_rank: bool = False):
     rank taken from the pseudoinverse's own singular values; below n it
     makes T_LSQ singular.
     """
-    pf, pg = _psi_array(psi_f), _psi_array(psi_g)
-    if pf.shape != pg.shape:
-        raise ValueError(f"shape mismatch {pf.shape} vs {pg.shape}")
+    pf, pg = _pair(psi_f, psi_g)
     pinv_f, rank = pinv(pf, return_rank=True)
     t = pg @ pinv_f
     return (t, rank) if return_rank else t
@@ -400,24 +400,34 @@ def recover_t(
 ) -> np.ndarray:
     """Pull a unitary eigenfunction-space C back to observable space.
 
-    T_C = (Omega W_g)^-1 C W_f, where the diagonal Omega resolves the scale
-    freedom of the left eigenvectors by matching the least squares transform:
-    Omega^-1 = Diag(W_g T_LSQ (C W_f)^-1), and (C W_f)^-1 = R_f C* exactly
-    for the models' R = W^-1 and unitary C. Near-zero diagonal entries carry
-    no information and are replaced by 1 (with a warning).
+    T_C = (Omega W_g)^-1 C W_f with Omega^-1 = Diag(W_g T_LSQ R_f C*), whose
+    near-zero entries carry no information and are replaced by 1 (with a
+    warning); see the module docstring.
     """
-    c = np.asarray(c, dtype=complex)
     if t_lsq is None:
         t_lsq = lsq_transform(psi_f, psi_g)
-    m = model_g.W @ t_lsq @ model_f.R
-    return _pull_back(np.einsum("ij,ij->i", m, c.conj()), c @ model_f.W, model_g.R)[0]
+    m = _in_eigenbases(t_lsq, model_f, model_g)
+    return _pull_back(m, np.asarray(c, dtype=complex), model_f, model_g)[0]
 
 
-def _pull_back(omega_inv, c_w_f, r_g) -> tuple[np.ndarray, int]:
+def _in_eigenbases(t_lsq, model_f: KoopmanModel, model_g: KoopmanModel) -> np.ndarray:
+    """M = W_g T_LSQ R_f, so that T_LSQ = R_g M W_f."""
+    return model_g.W @ t_lsq @ model_f.R
+
+
+def _pull_back(m, c, model_f: KoopmanModel, model_g: KoopmanModel) -> tuple[np.ndarray, int]:
     """(T_C = R_g Omega^-1 C W_f, number of Omega^-1 entries replaced by 1).
 
-    ``omega_inv`` = Diag(M C*) with M = W_g T_LSQ R_f, and ``c_w_f`` = C W_f.
+    Omega^-1 = Diag(M C*) with M from ``_in_eigenbases``; ``c`` is a dense
+    unitary or C_r2 as (pi^-1, gamma), row k of C_r2 X being gamma_k X[pi^-1[k]].
     """
+    if isinstance(c, tuple):
+        inv_pi, gamma = c
+        omega_inv = m[np.arange(inv_pi.size), inv_pi] * gamma.conj()
+        c_w_f = gamma[:, None] * model_f.W[inv_pi]
+    else:
+        omega_inv = np.einsum("ij,ij->i", m, c.conj())
+        c_w_f = c @ model_f.W
     tiny = np.abs(omega_inv) < OMEGA_ZERO_TOL
     replaced = int(tiny.sum())
     if replaced:
@@ -427,26 +437,13 @@ def _pull_back(omega_inv, c_w_f, r_g) -> tuple[np.ndarray, int]:
             stacklevel=3,
         )
         omega_inv[tiny] = 1.0
-    return r_g @ (omega_inv[:, None] * c_w_f), replaced
+    return model_g.R @ (omega_inv[:, None] * c_w_f), replaced
 
 
-def _psi_space_residuals(
-    t, k_f, k_g, psi_f, psi_g, invertible: bool = True
-) -> tuple[float | None, float]:
-    """(operator, trajectory) residuals of a candidate observable-space T.
-
-    The operator residual is None for a T known to be singular: solving with
-    it would not raise, but would return rounding noise.
-    """
-    op = None
-    if invertible:
-        try:
-            conj = np.linalg.solve(t, k_g @ t)
-            op = float(np.linalg.norm(k_f - conj))
-        except np.linalg.LinAlgError:
-            op = float("inf")
-    traj = float(np.linalg.norm(psi_g - t @ psi_f))
-    return op, traj
+def _operator_residual(model_f: KoopmanModel, bracket: np.ndarray) -> float:
+    """||K_f - T^-1 K_g T||_F = ||R_f B W_f||_F for T's bracket B (1-D: its diagonal)."""
+    left = model_f.R * bracket if bracket.ndim == 1 else model_f.R @ bracket
+    return float(np.linalg.norm(left @ model_f.W))
 
 
 def compare(
@@ -464,7 +461,8 @@ def compare(
     recovers the observable-space transforms T_C and T_LSQ together with
     their residuals. Both corners are always computed; coincidence is
     reported through the numbers rather than assumed. C_r2 enters every
-    step as (permutation, gamma); see the module docstring. The
+    step as (permutation, gamma), and the operator residuals come from the
+    eigenbasis, so K is never read; see the module docstring. The
     trajectories must be EigenfunctionTrajectory objects: Psi is rebuilt
     with the scales they carry.
     """
@@ -479,7 +477,8 @@ def compare(
         )
     lf, lg = _spectra(model_f.lambdas, model_g.lambdas)
     c1 = solve_c_r1(pf, pg)
-    c2, pi, gamma = solve_c_r2(pf, pg, lf, lg)
+    pi = solve_permutation(lf, lg)
+    gamma = solve_gamma(pf, pg, pi)
     # Row k of C_r2 X is gamma_k X[inv_pi[k]].
     inv_pi = np.argsort(pi)
 
@@ -494,49 +493,45 @@ def compare(
     if phi_norm == 0.0 or lam_norm == 0.0:
         raise ValueError("reference system has zero norm; cannot normalize")
 
-    r2_c1, defect_c1 = residual_r2(lf, lg, c1, return_defect=True)
+    bracket_c1, defect_c1 = _spectral_bracket(lf, lg, c1)
+    operator_c1 = _operator_residual(model_f, bracket_c1)
     # C_r2* C_r2 = diag(|gamma[pi]|^2): unitarity_defect(C_r2) in O(n). With
     # unit-modulus gamma, C_r2* Lambda_g C_r2 = diag(lambda_g[pi]).
     defect_c2 = _checked_unitary(
         float(np.linalg.norm(np.abs(gamma) ** 2 - 1.0) / max(np.sqrt(pi.size), 1.0))
     )
+    bracket_c2 = lf - lg[pi]
     corners = ParetoCorners(
         c_r1=c1,
-        c_r2=c2,
         permutation=pi,
         gamma=gamma,
         r1_at_cr1=residual_r1(pf, pg, c1) / phi_norm,
-        r2_at_cr1=r2_c1 / lam_norm,
+        r2_at_cr1=float(np.linalg.norm(bracket_c1)) / lam_norm,
         r1_at_cr2=float(np.linalg.norm(pg - gamma[:, None] * pf[inv_pi])) / phi_norm,
-        r2_at_cr2=float(np.linalg.norm(lf - lg[pi])) / lam_norm,
+        r2_at_cr2=float(np.linalg.norm(bracket_c2)) / lam_norm,
     )
     deviations = pareto_deviations(corners)
 
-    # Psi = R diag(1/scales) Phi, with the scales each trajectory was built with.
-    psi_f_mat = model_f.R @ (pf / phi_f.scales[:, None])
-    psi_g_mat = model_g.R @ (pg / phi_g.scales[:, None])
-    t_lsq, lsq_rank = lsq_transform(psi_f_mat, psi_g_mat, return_rank=True)
-    m = model_g.W @ t_lsq @ model_f.R
-    t_c1, replaced_c1 = _pull_back(
-        np.einsum("ij,ij->i", m, c1.conj()), c1 @ model_f.W, model_g.R
-    )
-    t_c2, replaced_c2 = _pull_back(
-        m[np.arange(pi.size), inv_pi] * gamma.conj(),
-        gamma[:, None] * model_f.W[inv_pi],
-        model_g.R,
-    )
+    psi_f = reconstruct_observables(model_f, phi_f)
+    psi_g = reconstruct_observables(model_g, phi_g)
+    t_lsq, lsq_rank = lsq_transform(psi_f, psi_g, return_rank=True)
+    m = _in_eigenbases(t_lsq, model_f, model_g)
+    t_c1, replaced_c1 = _pull_back(m, c1, model_f, model_g)
+    t_c2, replaced_c2 = _pull_back(m, (inv_pi, gamma), model_f, model_g)
+    operator_lsq = None  # T_LSQ is singular below full rank
+    if lsq_rank == pf.shape[0]:
+        bracket_lsq = np.linalg.solve(m, lg[:, None] * m) - np.diag(lf)
+        operator_lsq = _operator_residual(model_f, bracket_lsq)
     diagnostics = CompareDiagnostics(
         unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
         assignment_cost=assignment_cost(lf, lg, pi),
         lsq_rank=lsq_rank,
         omega_replaced={"T_C_r1": replaced_c1, "T_C_r2": replaced_c2},
     )
+    operators = (operator_c1, _operator_residual(model_f, bracket_c2), operator_lsq)
     residuals = {
-        "T_C_r1": _psi_space_residuals(t_c1, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
-        "T_C_r2": _psi_space_residuals(t_c2, model_f.K, model_g.K, psi_f_mat, psi_g_mat),
-        "T_LSQ": _psi_space_residuals(
-            t_lsq, model_f.K, model_g.K, psi_f_mat, psi_g_mat, invertible=lsq_rank == pf.shape[0]
-        ),
+        name: (op, float(np.linalg.norm(psi_g - t @ psi_f)))
+        for name, t, op in zip(("T_C_r1", "T_C_r2", "T_LSQ"), (t_c1, t_c2, t_lsq), operators)
     }
     return ConjugacyReport(
         corners=corners,

@@ -160,7 +160,8 @@ class KoopmanModel:
     ``scales`` are the per-row normalization factors of the trajectory the
     model was saved with (ones from ``decompose``). The model is immutable:
     a trajectory carries its own scales, and a model with other scales is
-    a ``dataclasses.replace`` copy.
+    a ``dataclasses.replace`` copy. ``conjugacy.compare`` never reads K; it
+    stays for ``free_run`` and the model file.
     """
 
     K: np.ndarray

@@ -174,7 +174,7 @@ def test_06_procrustes_optimality_sampling():
 def _corners(r1c1, r2c1, r1c2, r2c2):
     eye = np.eye(2)
     return ParetoCorners(
-        c_r1=eye, c_r2=eye, permutation=np.arange(2), gamma=np.ones(2),
+        c_r1=eye, permutation=np.arange(2), gamma=np.ones(2),
         r1_at_cr1=r1c1, r2_at_cr1=r2c1, r1_at_cr2=r1c2, r2_at_cr2=r2c2,
     )
 

@@ -1,6 +1,7 @@
 """Residuals, corner solvers, rectangle geometry, and the full comparison."""
 import itertools
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ class TestMeanCornerDistance:
 def corners_from(r1c1, r2c1, r1c2, r2c2):
     eye = np.eye(2)
     return ParetoCorners(
-        c_r1=eye, c_r2=eye, permutation=np.arange(2), gamma=np.ones(2),
+        c_r1=eye, permutation=np.arange(2), gamma=np.ones(2),
         r1_at_cr1=r1c1, r2_at_cr1=r2c1, r1_at_cr2=r1c2, r2_at_cr2=r2c2,
     )
 
@@ -348,6 +349,26 @@ class TestParetoDeviations:
         devs = pareto_deviations(corners_from(0.5 + 1e-13, 0.3, 0.5, 0.3))
         assert devs.d_min <= devs.d_avg <= devs.d_max
 
+    @pytest.mark.parametrize(
+        "a_lo, a_hi, b_lo, b_hi, exact",
+        [
+            # analytic sweep corners at (alpha, beta) = (0.85, 1.65), x0 = (1.1, 0.4)
+            (0.7982100141574158, 0.7982781627579584, 0.6351804284607934,
+             0.6355231777135698, 1.020228182607661065011),
+            # thin and far from the origin
+            (3.0, 3.0 + 3e-6, 4.0, 4.0 + 2e-5, 5.000008900003552035658),
+            # thin and near the origin
+            (0.001, 0.001 + 1e-6, 0.002, 0.7, 0.3510041792685038417463),
+            # touching the origin
+            (0.0, 0.3, 0.0, 0.7, 0.4011527217581680774491),
+        ],
+    )
+    def test_d_avg_matches_mpmath(self, a_lo, a_hi, b_lo, b_hi, exact):
+        # exact: mpmath 1.3.0 at 50 digits, where the four-corner closed form
+        # and mp.quad over the rectangle agree to every digit shown.
+        devs = pareto_deviations(corners_from(a_lo, b_hi, a_hi, b_lo))
+        assert devs.d_avg == pytest.approx(exact, rel=1e-15)
+
     def test_ordering_always_holds(self, rng):
         for _ in range(50):
             a_lo, b_lo = rng.uniform(0.0, 1.0, 2)
@@ -363,6 +384,30 @@ class TestCompare:
         model, phi = random_system(rng, 4, 20)
         report = compare(model, phi, model, phi)
         assert report.deviations.d_max < 1e-9
+
+    def test_self_comparison_t_c_r2_operator_residual_is_exactly_zero(self, rng):
+        # C_r2 matches every eigenvalue with itself: the bracket
+        # diag(lambda_f - lambda_g[pi]) is exactly zero.
+        model, phi = random_system(rng, 6, 20)
+        report = compare(model, phi, model, phi)
+        assert report.psi_residuals["T_C_r2"][0] == 0.0
+
+    def test_never_reads_k(self, rng):
+        # T > n, so T_LSQ has an operator residual as well.
+        model_a, phi_a = random_system(rng, 5, 30)
+        model_b, phi_b = random_system(rng, 5, 30)
+        blank_a, blank_b = (replace(m, K=np.full_like(m.K, np.nan)) for m in (model_a, model_b))
+        want = compare(model_a, phi_a, model_b, phi_b, "f")
+        got = compare(blank_a, phi_a, blank_b, phi_b, "f")
+        assert None not in [op for op, _ in want.psi_residuals.values()]
+        for f in fields(ParetoCorners):
+            np.testing.assert_array_equal(getattr(got.corners, f.name), getattr(want.corners, f.name))
+        for name in ("t_c_r1", "t_c_r2", "t_lsq"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.deviations == want.deviations
+        assert got.ref_norms == want.ref_norms
+        assert got.diagnostics == want.diagnostics
+        assert got.psi_residuals == want.psi_residuals
 
     def test_zero_at_conjugacy_random_similarity(self, rng):
         for _ in range(3):
@@ -515,21 +560,33 @@ class TestPsiSpace:
         ):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
+        # Operator residuals come from the eigenbasis, never from K; a solve
+        # with each T in observable space must give the same numbers, up to
+        # the cond(T) that the solve itself loses.
+        for name, t in (("T_C_r1", report.t_c_r1), ("T_C_r2", report.t_c_r2), ("T_LSQ", report.t_lsq)):
+            got = report.psi_residuals[name][0]
+            if name == "T_LSQ" and n_steps < n:
+                assert got is None
+                continue
+            want = np.linalg.norm(model_f.K - np.linalg.solve(t, model_g.K @ t))
+            assert abs(got - want) <= tol * np.linalg.cond(t) * want
+
         # Corners and deviations come before any pull-back. C_r1 goes through
         # the dense public functions; C_r2 as (permutation, gamma), so r2(C_r2)
         # is the closed form exactly and both of its residuals match the dense
         # functions to rounding.
         lf, lg = model_f.lambdas, model_g.lambdas
-        c2, pi, _ = solve_c_r2(phi_f, phi_g, lf, lg)
+        pf, pg = phi_f.phi, phi_g.phi
+        c2, pi, _ = solve_c_r2(pf, pg, lf, lg)
         np.testing.assert_array_equal(corners.permutation, pi)
         np.testing.assert_array_equal(corners.c_r2, c2)
-        phi_norm, lam_norm = np.linalg.norm(phi_f.phi), np.linalg.norm(lf)
-        c1 = solve_c_r1(phi_f, phi_g)
-        assert corners.r1_at_cr1 == residual_r1(phi_f, phi_g, c1) / phi_norm
+        phi_norm, lam_norm = np.linalg.norm(pf), np.linalg.norm(lf)
+        c1 = solve_c_r1(pf, pg)
+        assert corners.r1_at_cr1 == residual_r1(pf, pg, c1) / phi_norm
         assert corners.r2_at_cr1 == residual_r2(lf, lg, c1) / lam_norm
         assert corners.r2_at_cr2 == np.linalg.norm(lf - lg[pi]) / lam_norm
         rel = n * np.finfo(float).eps * np.sqrt(n)
-        assert corners.r1_at_cr2 == pytest.approx(residual_r1(phi_f, phi_g, c2) / phi_norm, rel=rel)
+        assert corners.r1_at_cr2 == pytest.approx(residual_r1(pf, pg, c2) / phi_norm, rel=rel)
         assert corners.r2_at_cr2 == pytest.approx(residual_r2(lf, lg, c2) / lam_norm, rel=rel)
         assert report.deviations == pareto_deviations(corners)
 
@@ -597,7 +654,7 @@ class TestStructuredCr2MatchesDense:
             report = compare(model_f, phi_f, model_g, phi_g, "none")
         corners, diag = report.corners, report.diagnostics
 
-        c2, pi, gamma = solve_c_r2(phi_f, phi_g, lf, lg)
+        c2, pi, gamma = solve_c_r2(phi_f.phi, phi_g.phi, lf, lg)
         np.testing.assert_array_equal(corners.permutation, pi)
         np.testing.assert_array_equal(corners.gamma, gamma)
         np.testing.assert_array_equal(corners.c_r2, c2)
@@ -606,7 +663,7 @@ class TestStructuredCr2MatchesDense:
         tol = n * eps * np.sqrt(n)
         phi_scale = np.linalg.norm(phi_f.phi) + np.linalg.norm(phi_g.phi)
         lam_scale = np.linalg.norm(lf) + np.linalg.norm(lg)
-        assert abs(corners.r1_at_cr2 - residual_r1(phi_f, phi_g, c2)) <= tol * phi_scale
+        assert abs(corners.r1_at_cr2 - residual_r1(phi_f.phi, phi_g.phi, c2)) <= tol * phi_scale
         assert abs(corners.r2_at_cr2 - residual_r2(lf, lg, c2)) <= tol * lam_scale
         assert corners.r2_at_cr2 == np.linalg.norm(lf - lg[pi])
 
