@@ -167,6 +167,8 @@ def cmd_compare(args) -> int:
             "assignmentCost": diag.assignment_cost,
             "lsqRank": diag.lsq_rank,
             "omegaReplaced": diag.omega_replaced,
+            "procrustesRank": diag.procrustes_rank,
+            "procrustesSigmaMin": diag.procrustes_sigma_min,
         },
         "timings": {"totalSeconds": time.perf_counter() - started},
     }

@@ -30,6 +30,19 @@ it in that form, (permutation, gamma), never as a dense operand: row k of
 C_r2 X is gamma_k X[pi^-1[k]], r2(C_r2) = ||lambda_f - lambda_g[pi]|| in
 closed form (its bracket is that diagonal), and its unitarity defect is
 ||(|gamma|^2 - 1)|| / sqrt(n). ``ParetoCorners.c_r2`` builds it densely on demand.
+
+Real systems run in real arithmetic. When both systems are closed under
+conjugation (``linalg.conjugate_basis``: real-data models and their
+trajectories), ``compare`` moves Phi, W and R into each system's real
+canonical basis, Phi_re = Q Phi, W_re = Q W, R_re = R Q*, in O(n T). Every
+residual above is invariant under these unitary changes of basis, and C
+becomes C_re = Q_g C Q_f*, so the Procrustes SVD, both pseudoinverses, the
+rebuilt Psi, T_LSQ, M, both pull-backs and all operator and trajectory
+residuals are real products. The spectrum side stays complex: the
+assignment, gamma, C_r2 and Omega^-1 link to the real basis through the
+2x2 blocks of Q D Q*. The reported C's, T's and gamma are complex as ever.
+Otherwise the maps are the identity, and the arithmetic is the complex one
+throughout.
 """
 from __future__ import annotations
 
@@ -38,8 +51,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .koopman import EigenfunctionTrajectory, KoopmanModel, reconstruct_observables
-from .linalg import pinv, svd, unitarity_defect
+from .koopman import EigenfunctionTrajectory, KoopmanModel
+from .linalg import (
+    COMPLEX_BASIS,
+    EigenBasis,
+    conjugate_basis,
+    numerical_rank,
+    pinv,
+    svd,
+    unitarity_defect,
+)
 
 UNITARY_TOL = 1e-8
 DOMINANCE_TOL = 1e-9
@@ -101,13 +122,19 @@ class CompareDiagnostics:
     lambda_g[pi[i]]|^2. ``lsq_rank`` is the numerical rank of Psi_f at
     pinv's relative cut-off. ``omega_replaced`` counts, per T_C, the
     entries of Omega^-1 below OMEGA_ZERO_TOL that were replaced by 1; when
-    it nears n, that T_C is not a fitted transform.
+    it nears n, that T_C is not a fitted transform. ``procrustes_rank`` and
+    ``procrustes_sigma_min`` are the numerical rank of Phi_g Phi_f* at the
+    same cut-off and its smallest kept singular value (0 at rank 0), from
+    the SVD that gives C_r1. Below rank n, C_r1 is not unique on the null
+    block, and neither are r2(C_r1), d_avg and d_max.
     """
 
     unitarity_defects: dict[str, float]
     assignment_cost: float
     lsq_rank: int
     omega_replaced: dict[str, int]
+    procrustes_rank: int
+    procrustes_sigma_min: float
 
 
 @dataclass(frozen=True)
@@ -136,24 +163,39 @@ class ConjugacyReport:
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Two arrays as complex, checked to share one shape."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    """Two arrays, float64 if both are and complex otherwise, checked to share one shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.float64 if a.dtype == b.dtype == np.float64 else complex
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return a, b
 
 
+def _matmul(a, b) -> np.ndarray:
+    """a @ b; a complex operand against a real one is split into two real products."""
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    if np.iscomplexobj(a):
+        return _matmul(b.T, a.T).T
+    out = np.empty((a.shape[0], b.shape[1]), dtype=complex)
+    out.real = a @ np.ascontiguousarray(b.real)
+    out.imag = a @ np.ascontiguousarray(b.imag)
+    return out
+
+
 def residual_r1(phi_f, phi_g, c) -> float:
-    """Trajectory residual || Phi_g - C Phi_f ||_F."""
+    """Trajectory residual || Phi_g - C Phi_f ||_F; real input stays real."""
     pf, pg = _pair(phi_f, phi_g)
-    c = np.asarray(c, dtype=complex)
+    c = np.asarray(c)
     if c.shape != (pf.shape[0], pf.shape[0]):
         raise ValueError(f"C shape {c.shape} does not match Phi rows {pf.shape[0]}")
     return float(np.linalg.norm(pg - c @ pf))
 
 
 def _spectra(lambdas_f, lambdas_g) -> tuple[np.ndarray, np.ndarray]:
-    return _pair(np.ravel(lambdas_f), np.ravel(lambdas_g))
+    """Two spectra as complex vectors of one length."""
+    return _pair(*(np.ravel(lam).astype(complex, copy=False) for lam in (lambdas_f, lambdas_g)))
 
 
 def _checked_unitary(defect: float) -> float:
@@ -165,27 +207,35 @@ def _checked_unitary(defect: float) -> float:
     return defect
 
 
-def _spectral_bracket(lambdas_f, lambdas_g, c) -> tuple[np.ndarray, float]:
-    """(C* Lambda_g C - Lambda_f, unitarity defect of C) for a C that passes as unitary."""
-    lf, lg = _spectra(lambdas_f, lambdas_g)
-    c = np.asarray(c, dtype=complex)
+def _spectral_bracket(
+    lf, lg, c, basis_f: EigenBasis = COMPLEX_BASIS, basis_g: EigenBasis = COMPLEX_BASIS
+) -> tuple[np.ndarray, float]:
+    """(C* Lambda_g C - Lambda_f, unitarity defect of C) for a C that passes as unitary.
+
+    C is given in the bases (C_re = Q_g C Q_f*), and so is the bracket.
+    """
     defect = _checked_unitary(unitarity_defect(c))
-    bracket = c.conj().T @ (lg[:, None] * c)
-    diag = np.arange(lf.shape[0])
-    bracket[diag, diag] -= lf
+    bracket = c.conj().T @ basis_g.scale_rows(lg, c)
+    bracket -= basis_f.diag(lf)
     return bracket, defect
 
 
 def residual_r2(lambdas_f, lambdas_g, c) -> float:
     """Spectral residual || Lambda_f - C* Lambda_g C ||_F for unitary C."""
-    return float(np.linalg.norm(_spectral_bracket(lambdas_f, lambdas_g, c)[0]))
+    lf, lg = _spectra(lambdas_f, lambdas_g)
+    return float(np.linalg.norm(_spectral_bracket(lf, lg, np.asarray(c, dtype=complex))[0]))
 
 
-def solve_c_r1(phi_f, phi_g) -> np.ndarray:
-    """Unitary minimizer of r1: U V* from the SVD of Phi_g Phi_f*."""
+def solve_c_r1(phi_f, phi_g, return_singular_values: bool = False):
+    """Unitary minimizer of r1: U V* from the SVD of Phi_g Phi_f*; real input stays real.
+
+    With ``return_singular_values`` the result is (C, singular values of
+    Phi_g Phi_f*), descending.
+    """
     pf, pg = _pair(phi_f, phi_g)
     res = svd(pg @ pf.conj().T)
-    return res.U @ res.V.conj().T
+    c = res.U @ res.V.conj().T
+    return (c, res.S) if return_singular_values else c
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:
@@ -274,8 +324,12 @@ def solve_gamma(phi_f, phi_g, permutation) -> np.ndarray:
     below GAMMA_ZERO_TOL carry no phase information and default to 1.
     """
     pf, pg = _pair(phi_f, phi_g)
-    aligned = pf[np.argsort(permutation)]
-    raw = np.einsum("ij,ji->i", pg, pinv(aligned))
+    return _phases(pg, pinv(pf[np.argsort(permutation)]))
+
+
+def _phases(pg, pinv_aligned) -> np.ndarray:
+    """``solve_gamma`` from pinv(P Phi_f): unit-modulus diagonal of Phi_g pinv(P Phi_f)."""
+    raw = np.einsum("ij,ji->i", pg, pinv_aligned)
     mod = np.abs(raw)
     safe = np.where(mod < GAMMA_ZERO_TOL, 1.0, raw)
     return np.where(mod < GAMMA_ZERO_TOL, 1.0 + 0.0j, safe / np.abs(safe))
@@ -380,9 +434,9 @@ def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
 def lsq_transform(psi_f, psi_g, return_rank: bool = False):
     """Plain least squares observable-space map T_LSQ = Psi_g Psi_f+.
 
-    With ``return_rank`` the result is (T_LSQ, numerical rank of Psi_f), the
-    rank taken from the pseudoinverse's own singular values; below n it
-    makes T_LSQ singular.
+    Real input stays real. With ``return_rank`` the result is (T_LSQ,
+    numerical rank of Psi_f), the rank taken from the pseudoinverse's own
+    singular values; below n it makes T_LSQ singular.
     """
     pf, pg = _pair(psi_f, psi_g)
     pinv_f, rank = pinv(pf, return_rank=True)
@@ -406,28 +460,20 @@ def recover_t(
     """
     if t_lsq is None:
         t_lsq = lsq_transform(psi_f, psi_g)
-    m = _in_eigenbases(t_lsq, model_f, model_g)
-    return _pull_back(m, np.asarray(c, dtype=complex), model_f, model_g)[0]
+    c = np.asarray(c, dtype=complex)
+    m = model_g.W @ t_lsq @ model_f.R
+    omega_inv = np.einsum("ij,ij->i", m, c.conj())
+    return _pull_back(omega_inv, c @ model_f.W, model_g.R, COMPLEX_BASIS)[0]
 
 
-def _in_eigenbases(t_lsq, model_f: KoopmanModel, model_g: KoopmanModel) -> np.ndarray:
-    """M = W_g T_LSQ R_f, so that T_LSQ = R_g M W_f."""
-    return model_g.W @ t_lsq @ model_f.R
-
-
-def _pull_back(m, c, model_f: KoopmanModel, model_g: KoopmanModel) -> tuple[np.ndarray, int]:
+def _pull_back(omega_inv, c_w_f, r_g, basis_g: EigenBasis) -> tuple[np.ndarray, int]:
     """(T_C = R_g Omega^-1 C W_f, number of Omega^-1 entries replaced by 1).
 
-    Omega^-1 = Diag(M C*) with M from ``_in_eigenbases``; ``c`` is a dense
-    unitary or C_r2 as (pi^-1, gamma), row k of C_r2 X being gamma_k X[pi^-1[k]].
+    ``omega_inv`` = Diag(M C*) with M = W_g T_LSQ R_f, and ``c_w_f`` = C W_f,
+    both with the rows of g's complex eigenbasis; ``r_g`` is R_g in
+    ``basis_g``, so that T_C = r_g Q_g Omega^-1 C W_f. ``c_w_f`` is scaled
+    in place.
     """
-    if isinstance(c, tuple):
-        inv_pi, gamma = c
-        omega_inv = m[np.arange(inv_pi.size), inv_pi] * gamma.conj()
-        c_w_f = gamma[:, None] * model_f.W[inv_pi]
-    else:
-        omega_inv = np.einsum("ij,ij->i", m, c.conj())
-        c_w_f = c @ model_f.W
     tiny = np.abs(omega_inv) < OMEGA_ZERO_TOL
     replaced = int(tiny.sum())
     if replaced:
@@ -437,13 +483,30 @@ def _pull_back(m, c, model_f: KoopmanModel, model_g: KoopmanModel) -> tuple[np.n
             stacklevel=3,
         )
         omega_inv[tiny] = 1.0
-    return model_g.R @ (omega_inv[:, None] * c_w_f), replaced
+    # Omega^-1 as the left operand, as ever: numpy's complex product need
+    # not be bitwise commutative.
+    np.multiply(omega_inv[:, None], c_w_f, out=c_w_f)
+    return _matmul(r_g, basis_g.rows_in(c_w_f)), replaced
 
 
-def _operator_residual(model_f: KoopmanModel, bracket: np.ndarray) -> float:
-    """||K_f - T^-1 K_g T||_F = ||R_f B W_f||_F for T's bracket B (1-D: its diagonal)."""
-    left = model_f.R * bracket if bracket.ndim == 1 else model_f.R @ bracket
-    return float(np.linalg.norm(left @ model_f.W))
+def _operator_residual(r_f, w_f, bracket: np.ndarray, basis_f: EigenBasis) -> float:
+    """||K_f - T^-1 K_g T||_F = ||R_f B W_f||_F for T's bracket B (1-D: its diagonal).
+
+    R_f, W_f and a 2-D B are given in ``basis_f``; a diagonal B is given in
+    the complex eigenbasis.
+    """
+    left = basis_f.scale_cols(r_f, bracket) if bracket.ndim == 1 else r_f @ bracket
+    return float(np.linalg.norm(_matmul(left, w_f)))
+
+
+def _bases(model_f, phi_f, model_g, phi_g) -> tuple[EigenBasis, EigenBasis]:
+    """The real canonical bases of f and g when both systems are closed under
+    conjugation, read from lambdas, W, R, Phi and scales; else the complex ones."""
+    bases = tuple(
+        conjugate_basis(m.lambdas, m.W, m.R.T, p.phi, p.scales)
+        for m, p in ((model_f, phi_f), (model_g, phi_g))
+    )
+    return bases if all(b.is_real for b in bases) else (COMPLEX_BASIS, COMPLEX_BASIS)
 
 
 def compare(
@@ -462,9 +525,9 @@ def compare(
     their residuals. Both corners are always computed; coincidence is
     reported through the numbers rather than assumed. C_r2 enters every
     step as (permutation, gamma), and the operator residuals come from the
-    eigenbasis, so K is never read; see the module docstring. The
-    trajectories must be EigenfunctionTrajectory objects: Psi is rebuilt
-    with the scales they carry.
+    eigenbasis, so K is never read; real systems run in their real canonical
+    bases. See the module docstring. The trajectories must be
+    EigenfunctionTrajectory objects: Psi is rebuilt with the scales they carry.
     """
     if normalization not in ("none", "f", "g"):
         raise ValueError(f"normalization must be 'none', 'f' or 'g', got {normalization!r}")
@@ -475,12 +538,20 @@ def compare(
         raise ValueError(
             f"systems must share dimensions, got {pf.shape} vs {pg.shape}"
         )
+    n = pf.shape[0]
     lf, lg = _spectra(model_f.lambdas, model_g.lambdas)
-    c1 = solve_c_r1(pf, pg)
+    # Arrays with a _b suffix are in the bases: real canonical or complex.
+    bf, bg = _bases(model_f, phi_f, model_g, phi_g)
+    pf_b, pg_b = bf.rows_in(pf), bg.rows_in(pg)
+    c1_b, sigma = solve_c_r1(pf_b, pg_b, return_singular_values=True)
+    c1 = bf.cols_out(bg.rows_out(c1_b))
     pi = solve_permutation(lf, lg)
-    gamma = solve_gamma(pf, pg, pi)
     # Row k of C_r2 X is gamma_k X[inv_pi[k]].
     inv_pi = np.argsort(pi)
+    # pinv(P Phi_f) = pinv(Phi_f)[:, inv_pi], and pinv(Phi_f) = pinv(Phi_f_re) Q_f.
+    # Gathering the basis rows by inv_pi first keeps the complex basis's
+    # arithmetic that of solve_gamma.
+    gamma = _phases(pg, bf.cols_out(pinv(pf_b[inv_pi])[:, pi])[:, inv_pi])
 
     if normalization == "f":
         phi_norm = float(np.linalg.norm(pf))
@@ -493,44 +564,57 @@ def compare(
     if phi_norm == 0.0 or lam_norm == 0.0:
         raise ValueError("reference system has zero norm; cannot normalize")
 
-    bracket_c1, defect_c1 = _spectral_bracket(lf, lg, c1)
-    operator_c1 = _operator_residual(model_f, bracket_c1)
+    r_f_b, w_f_b, r_g_b = bf.cols_in(model_f.R), bf.rows_in(model_f.W), bg.cols_in(model_g.R)
+    bracket_c1, defect_c1 = _spectral_bracket(lf, lg, c1_b, bf, bg)
+    operator_c1 = _operator_residual(r_f_b, w_f_b, bracket_c1, bf)
     # C_r2* C_r2 = diag(|gamma[pi]|^2): unitarity_defect(C_r2) in O(n). With
     # unit-modulus gamma, C_r2* Lambda_g C_r2 = diag(lambda_g[pi]).
     defect_c2 = _checked_unitary(
-        float(np.linalg.norm(np.abs(gamma) ** 2 - 1.0) / max(np.sqrt(pi.size), 1.0))
+        float(np.linalg.norm(np.abs(gamma) ** 2 - 1.0) / max(np.sqrt(n), 1.0))
     )
     bracket_c2 = lf - lg[pi]
     corners = ParetoCorners(
         c_r1=c1,
         permutation=pi,
         gamma=gamma,
-        r1_at_cr1=residual_r1(pf, pg, c1) / phi_norm,
+        r1_at_cr1=residual_r1(pf_b, pg_b, c1_b) / phi_norm,
         r2_at_cr1=float(np.linalg.norm(bracket_c1)) / lam_norm,
         r1_at_cr2=float(np.linalg.norm(pg - gamma[:, None] * pf[inv_pi])) / phi_norm,
         r2_at_cr2=float(np.linalg.norm(bracket_c2)) / lam_norm,
     )
     deviations = pareto_deviations(corners)
 
-    psi_f = reconstruct_observables(model_f, phi_f)
-    psi_g = reconstruct_observables(model_g, phi_g)
+    # Psi = R diag(1/scales) Phi; paired rows share their scale, so it
+    # commutes with Q.
+    psi_f = r_f_b @ (pf_b / phi_f.scales[:, None])
+    psi_g = r_g_b @ (pg_b / phi_g.scales[:, None])
     t_lsq, lsq_rank = lsq_transform(psi_f, psi_g, return_rank=True)
-    m = _in_eigenbases(t_lsq, model_f, model_g)
-    t_c1, replaced_c1 = _pull_back(m, c1, model_f, model_g)
-    t_c2, replaced_c2 = _pull_back(m, (inv_pi, gamma), model_f, model_g)
+    # M = W_g T_LSQ R_f, so that T_LSQ = R_g M W_f. Omega^-1 = Diag(M C*)
+    # takes M and C with the rows of g's complex eigenbasis.
+    m_b = bg.rows_in(model_g.W) @ t_lsq @ r_f_b
+    m_rows = bg.rows_out(m_b)
+    omega_c1 = np.einsum("ij,ij->i", m_rows, bg.rows_out(c1_b).conj())
+    omega_c2 = bf.cols_out_at(m_rows, inv_pi) * gamma.conj()
+    # Peak memory: no n x n temporary outlives its use in the pull-backs.
+    del pf_b, pg_b, m_rows
+    t_c1, replaced_c1 = _pull_back(omega_c1, bg.rows_out(c1_b @ w_f_b), r_g_b, bg)
+    t_c2, replaced_c2 = _pull_back(omega_c2, gamma[:, None] * model_f.W[inv_pi], r_g_b, bg)
     operator_lsq = None  # T_LSQ is singular below full rank
-    if lsq_rank == pf.shape[0]:
-        bracket_lsq = np.linalg.solve(m, lg[:, None] * m) - np.diag(lf)
-        operator_lsq = _operator_residual(model_f, bracket_lsq)
+    if lsq_rank == n:
+        bracket_lsq = np.linalg.solve(m_b, bg.scale_rows(lg, m_b)) - bf.diag(lf)
+        operator_lsq = _operator_residual(r_f_b, w_f_b, bracket_lsq, bf)
+    procrustes_rank = numerical_rank(sigma)
     diagnostics = CompareDiagnostics(
         unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
         assignment_cost=assignment_cost(lf, lg, pi),
         lsq_rank=lsq_rank,
         omega_replaced={"T_C_r1": replaced_c1, "T_C_r2": replaced_c2},
+        procrustes_rank=procrustes_rank,
+        procrustes_sigma_min=float(sigma[procrustes_rank - 1]) if procrustes_rank else 0.0,
     )
-    operators = (operator_c1, _operator_residual(model_f, bracket_c2), operator_lsq)
+    operators = (operator_c1, _operator_residual(r_f_b, w_f_b, bracket_c2, bf), operator_lsq)
     residuals = {
-        name: (op, float(np.linalg.norm(psi_g - t @ psi_f)))
+        name: (op, float(np.linalg.norm(psi_g - _matmul(t, psi_f))))
         for name, t, op in zip(("T_C_r1", "T_C_r2", "T_LSQ"), (t_c1, t_c2, t_lsq), operators)
     }
     return ConjugacyReport(
@@ -538,9 +622,9 @@ def compare(
         deviations=deviations,
         normalization=normalization,
         ref_norms=(phi_norm, lam_norm),
-        t_c_r1=t_c1,
-        t_c_r2=t_c2,
-        t_lsq=t_lsq,
+        t_c_r1=t_c1.astype(complex, copy=False),
+        t_c_r2=t_c2.astype(complex, copy=False),
+        t_lsq=t_lsq.astype(complex, copy=False),
         diagnostics=diagnostics,
         psi_residuals=residuals,
     )

@@ -1,7 +1,8 @@
 """File formats: JSON model/report files and CSV trajectories.
 
 All writes are atomic (temp file in the target directory, then rename), so a
-crashed run never leaves a truncated artifact.
+crashed run never leaves a truncated artifact. A model file is streamed:
+the header, then one array payload at a time, base64-encoded in chunks.
 
 Model files (schema v2) are a JSON header of scalars and layout plus five
 arrays, ``K``, ``W``, ``Lambda``, ``scales`` and ``phi0``, each stored as
@@ -13,8 +14,10 @@ and a complex array whose imaginary parts are all +0.0 are stored as
 (float64 for ``scales``) arrays bit for bit, and the header's floats go
 through JSON's shortest round-trip repr, which is exact too. The header's
 ``diagnostics`` object holds identification health numbers
-(``oneStepResidual``). R = W^-1 is not stored: loading inverts W once,
-and a W whose inverse fails or is not finite makes the file malformed.
+(``oneStepResidual``). R = W^-1 is not stored: loading inverts W once (in
+real arithmetic when W is closed under conjugation, see
+``KoopmanModel``), and a W whose inverse fails or is not finite makes the
+file malformed.
 Schema v1 files, which store complex arrays as row-major lists of [re, im]
 pairs, stay readable; only v2 is written. Both schemas share one
 validation path, and every malformed file raises FileFormatError.
@@ -23,9 +26,10 @@ Model files carry, besides the operator and its decomposition, the scaled
 eigenfunction values at the first sample (``phi0``) and the trajectory
 length. That is enough to rebuild the model-implied eigenfunction
 trajectory phi0_i * lambda_i^n for comparisons between saved models without
-shipping the full training data. ``spectrumKind`` distinguishes discrete
-one-step operators from continuous-time generators (whose rows evolve as
-exp(lambda * dt * n)).
+shipping the full training data; for a model closed under conjugation each
+pair's second row is the exact conjugate of its first. ``spectrumKind``
+distinguishes discrete one-step operators from continuous-time generators
+(whose rows evolve as exp(lambda * dt * n)).
 """
 from __future__ import annotations
 
@@ -37,11 +41,13 @@ import json
 import math
 import os
 import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .koopman import EigenfunctionTrajectory, KoopmanModel, PrimarySeries
+from .linalg import conjugate_basis
 
 MODEL_SCHEMA_VERSION = 2
 READABLE_MODEL_SCHEMAS = (1, 2)
@@ -50,6 +56,10 @@ REPORT_SCHEMA_VERSION = 1
 # Array payload dtypes of schema v2: explicit little-endian, so files do not
 # depend on the byte order of the machine that wrote them.
 PAYLOAD_DTYPES = ("<f8", "<c16")
+
+# Raw bytes base64-encoded per write by save_model: a multiple of 3, so the
+# chunks' encodings concatenate to the encoding of the whole payload.
+PAYLOAD_CHUNK_BYTES = 3 << 16
 
 # Each step of a uniform time column read back from text carries the rounding
 # of its two end points and of the subtraction, up to about 1.5 eps max|t|
@@ -87,15 +97,23 @@ class ModelRecord:
         Generator-kind models grow as exp(lambda dt n); discrete models as
         lambda^n. Rows are rescaled so the maximum modulus over the horizon
         is one, matching the convention of trajectories computed from data.
+        When lambdas, W and phi0 are closed under conjugation, only each
+        pair's first row is grown; its partner is the exact conjugate, and
+        the rows of real eigenvalues are real (a negative lambda^n taken in
+        complex arithmetic keeps a rounding-level imaginary part).
         """
         n = self.n_steps if n_steps is None else n_steps
         steps = np.arange(n)
+        lambdas = self.model.lambdas
+        basis = conjugate_basis(lambdas, self.model.W, self.phi0)
+        rows = basis.heads(lambdas.size)
         if self.spectrum_kind == "generator":
-            growth = np.exp(np.outer(self.model.lambdas * self.model.dt, steps))
+            growth = np.exp(np.outer(lambdas[rows] * self.model.dt, steps))
         else:
-            lam = self.model.lambdas[:, None]
-            growth = lam ** steps[None, :]
-        phi = self.phi0[:, None] * growth
+            growth = lambdas[rows, None] ** steps[None, :]
+        phi = np.empty((lambdas.size, n), dtype=complex)
+        phi[rows] = self.phi0[rows, None] * growth
+        basis.close(phi)
         max_mod = np.max(np.abs(phi), axis=1)
         scales = np.where(max_mod > 0, 1.0 / np.where(max_mod > 0, max_mod, 1.0), 1.0)
         return EigenfunctionTrajectory(phi=phi * scales[:, None], scales=scales)
@@ -107,17 +125,23 @@ def encode_complex(arr: np.ndarray) -> list:
     return np.column_stack([flat.real, flat.imag]).tolist()
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    """Schema v2 payload; real, or complex with all-+0.0 imaginary parts, goes as <f8."""
+def _payload(arr: np.ndarray) -> np.ndarray:
+    """Schema v2 payload array; real, or complex with all-+0.0 imaginary parts, goes as <f8."""
     arr = np.asarray(arr)
     if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
         arr = arr.real
-    data = np.ascontiguousarray(arr, dtype="<c16" if np.iscomplexobj(arr) else "<f8")
-    return {
-        "dtype": data.dtype.str,
-        "shape": list(data.shape),
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
+    return np.ascontiguousarray(arr, dtype="<c16" if np.iscomplexobj(arr) else "<f8")
+
+
+def _write_payload(handle, key: str, arr: np.ndarray) -> None:
+    """Write ``, "key": {"dtype", "shape", "data"}`` as json.dumps would, in chunks."""
+    data = _payload(arr)
+    spec = json.dumps({"dtype": data.dtype.str, "shape": list(data.shape)})
+    handle.write(f', {json.dumps(key)}: {spec[:-1]}, "data": "'.encode("ascii"))
+    raw = memoryview(data).cast("B")
+    for start in range(0, len(raw), PAYLOAD_CHUNK_BYTES):
+        handle.write(base64.b64encode(raw[start : start + PAYLOAD_CHUNK_BYTES]))
+    handle.write(b'"}')
 
 
 def _decode_array(spec, shape: tuple, dtype) -> np.ndarray:
@@ -168,20 +192,27 @@ def _read_array(doc: dict, key: str, shape: tuple, dtype, version: int) -> np.nd
     return arr
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+@contextmanager
+def _atomic_file(path: str):
+    """A binary handle on a same-directory temp file, renamed to path on success."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
     # Mode 0666 less the umask, as open() would give; the mode survives the rename.
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path via a same-directory temp file and rename."""
+    with _atomic_file(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def file_sha256(path: str) -> str:
@@ -193,9 +224,13 @@ def file_sha256(path: str) -> str:
 
 
 def save_model(record: ModelRecord, path: str) -> None:
-    """Write a schema v2 model file (see the module docstring)."""
+    """Write a schema v2 model file (see the module docstring).
+
+    The bytes are those of ``json.dumps`` of the whole document, but only
+    one array is encoded at a time, a chunk of PAYLOAD_CHUNK_BYTES at once.
+    """
     m = record.model
-    doc = {
+    header = {
         "schemaVersion": MODEL_SCHEMA_VERSION,
         "nPsi": m.n_psi,
         "dt": m.dt,
@@ -211,13 +246,13 @@ def save_model(record: ModelRecord, path: str) -> None:
         "eigCondition": m.eig_condition,
         "nSteps": record.n_steps,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
-        "K": _encode_array(m.K),
-        "W": _encode_array(m.W),
-        "Lambda": _encode_array(m.lambdas),
-        "scales": _encode_array(m.scales),
-        "phi0": _encode_array(record.phi0),
     }
-    atomic_write_text(path, json.dumps(doc))
+    arrays = {"K": m.K, "W": m.W, "Lambda": m.lambdas, "scales": m.scales, "phi0": record.phi0}
+    with _atomic_file(path) as handle:
+        handle.write(json.dumps(header)[:-1].encode("ascii"))
+        for key, arr in arrays.items():
+            _write_payload(handle, key, arr)
+        handle.write(b"}")
 
 
 def load_model(path: str) -> ModelRecord:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DiagonalizabilityError, EigResult, as_matrix, eig
+from .linalg import DiagonalizabilityError, EigResult, as_matrix, conjugate_basis, eig
 
 DEGENERATE_ROW_TOL = 1e-14
 
@@ -156,7 +156,10 @@ class KoopmanModel:
     observables to eigenfunction coordinates; ``R`` = W^-1 holds the right
     eigenvectors as columns and maps back. ``decompose`` keeps the R that
     ``eig`` produced; when R is not given it is computed once as inv(W), and
-    a W without a finite inverse is a ValueError.
+    a W without a finite inverse is a ValueError. When lambdas and W are
+    closed under conjugation (``linalg.conjugate_basis``), as for a real K,
+    that inverse is inv(W_re) of the real canonical basis, taken in real
+    arithmetic.
     ``scales`` are the per-row normalization factors of the trajectory the
     model was saved with (ones from ``decompose``). The model is immutable:
     a trajectory carries its own scales, and a model with other scales is
@@ -175,8 +178,9 @@ class KoopmanModel:
 
     def __post_init__(self):
         if self.R is None:
+            basis = conjugate_basis(self.lambdas, self.W)
             try:
-                r = np.linalg.inv(self.W)
+                r = basis.cols_out(np.linalg.inv(basis.rows_in(self.W)))
             except np.linalg.LinAlgError:
                 raise ValueError("W: singular, no right eigenvectors") from None
             if not np.all(np.isfinite(r)):
@@ -327,7 +331,8 @@ def decompose(
     W is the inverse of the right-eigenvector matrix, so its rows are left
     eigenvectors and W @ K = diag(lambdas) @ W. Pass ``eig_result`` when
     eig(K) is already at hand. The model keeps eig's R as well, so no later
-    step inverts W. Scales start at ones.
+    step inverts W. Scales start at ones. For a real K the left-residual
+    gate runs in the real canonical basis, where W_re K is a real product.
     """
     arr = as_matrix(K, "K")
     if arr.shape[0] != arr.shape[1]:
@@ -335,7 +340,10 @@ def decompose(
     res = eig(arr) if eig_result is None else eig_result
     k_norm = np.linalg.norm(arr)
     if k_norm > 0:
-        residual = np.linalg.norm(res.W @ arr - res.lambdas[:, None] * res.W) / k_norm
+        # ||W K - Lambda W|| is the same in the real canonical basis, if any.
+        basis = conjugate_basis(res.lambdas, res.W)
+        w_b = basis.rows_in(res.W)
+        residual = np.linalg.norm(w_b @ arr - basis.scale_rows(res.lambdas, w_b)) / k_norm
         bound = LEFT_RESIDUAL_FACTOR * arr.shape[0] * np.finfo(float).eps * res.condition_number
         if not residual < bound:
             raise DiagonalizabilityError(
@@ -362,13 +370,16 @@ def eigenfunction_trajectories(
     Each row of W @ Psi is divided by its maximum modulus over the observed
     steps; rows that never rise above DEGENERATE_ROW_TOL are left unscaled
     and flagged rather than amplified. The factors used are returned in the
-    trajectory's ``scales``; the model is not changed.
+    trajectory's ``scales``; the model is not changed. For a real model and
+    real observables the product is W_re @ Psi in the real canonical basis,
+    and the rows of a conjugate pair come out exact conjugates.
     """
     if model.n_psi != obs.n_psi:
         raise ValueError(
             f"model dimension {model.n_psi} != observable dimension {obs.n_psi}"
         )
-    raw = model.W @ obs.psi
+    basis = conjugate_basis(model.lambdas, model.W)
+    raw = basis.rows_out(basis.rows_in(model.W) @ obs.psi)
     max_mod = np.max(np.abs(raw), axis=1)
     degenerate = np.flatnonzero(max_mod < DEGENERATE_ROW_TOL)
     scales = np.where(max_mod < DEGENERATE_ROW_TOL, 1.0, 1.0 / np.where(max_mod == 0, 1.0, max_mod))

@@ -63,6 +63,34 @@ def random_system(rng, n, n_steps, radius=1.0):
     return lifted_system(k, psi)
 
 
+def real_system(rng, n, n_steps, radius=0.95):
+    """Real K with real eigenvalues and conjugate pairs, and real observables.
+
+    Both the model and its trajectory are closed under conjugation, so
+    ``compare`` takes them in the real canonical basis.
+    """
+    n_pairs = int(rng.integers(1, n // 2 + 1))
+    d = np.diag(rng.uniform(-radius, radius, n))
+    for j in range(n - 2 * n_pairs, n, 2):
+        mod, angle = rng.uniform(0.3, radius), rng.uniform(0.1, np.pi - 0.1)
+        a, b = mod * np.cos(angle), mod * np.sin(angle)
+        d[j : j + 2, j : j + 2] = [[a, b], [-b, a]]
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = (q1 * rng.uniform(0.5, 2.0, n)) @ q2.T
+    model = decompose(s @ d @ np.linalg.inv(s), 0.1)
+    obs = ObservableMatrix(
+        psi=rng.standard_normal((n, n_steps)),
+        names=tuple(f"g{i}" for i in range(n)),
+        has_constant=False,
+        n_primary=n,
+        aux=None,
+        train_snapshots=None,
+        dt=0.1,
+    )
+    return model, eigenfunction_trajectories(model, obs)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -112,7 +112,8 @@ class TestCompare:
                      "--output", str(report)]) == 0
         doc = json.loads(report.read_text())
         diag = doc["diagnostics"]
-        assert set(diag) == {"unitarityDefects", "assignmentCost", "lsqRank", "omegaReplaced"}
+        assert set(diag) == {"unitarityDefects", "assignmentCost", "lsqRank", "omegaReplaced",
+                             "procrustesRank", "procrustesSigmaMin"}
         assert set(diag["unitarityDefects"]) == {"C_r1", "C_r2"}
         assert all(0.0 <= d < 1e-12 for d in diag["unitarityDefects"].values())
         lf, lg = load_model(str(a)).model.lambdas, load_model(str(b)).model.lambdas
@@ -120,6 +121,8 @@ class TestCompare:
         assert diag["assignmentCost"] == pytest.approx(np.sum(np.abs(lf - lg[pi]) ** 2), rel=1e-12)
         assert diag["lsqRank"] == 3
         assert diag["omegaReplaced"] == {"T_C_r1": 0, "T_C_r2": 0}
+        assert diag["procrustesRank"] == 3
+        assert diag["procrustesSigmaMin"] > 0.0
 
     def test_model_against_itself(self, tmp_path):
         model_path = tmp_path / "f.json"

@@ -11,6 +11,7 @@ from koopmetrics.conjugacy import (
     ContractViolationError,
     ParetoCorners,
     _assignment,
+    _bases,
     assignment_cost,
     compare,
     lsq_transform,
@@ -25,8 +26,8 @@ from koopmetrics.conjugacy import (
     solve_gamma,
     solve_permutation,
 )
-from koopmetrics.koopman import KoopmanModel, eigenfunction_trajectories
-from koopmetrics.linalg import pinv, svd, unitarity_defect
+from koopmetrics.koopman import KoopmanModel, eigenfunction_trajectories, reconstruct_observables
+from koopmetrics.linalg import conjugate_basis, numerical_rank, pinv, svd, unitarity_defect
 
 from conftest import (
     lifted_system,
@@ -35,6 +36,7 @@ from conftest import (
     random_unitary,
     random_well_conditioned,
     raw_observables,
+    real_system,
 )
 
 
@@ -394,8 +396,16 @@ class TestCompare:
 
     def test_never_reads_k(self, rng):
         # T > n, so T_LSQ has an operator residual as well.
-        model_a, phi_a = random_system(rng, 5, 30)
-        model_b, phi_b = random_system(rng, 5, 30)
+        self.assert_never_reads_k(*random_system(rng, 5, 30), *random_system(rng, 5, 30))
+
+    def test_never_reads_k_in_the_real_basis(self, rng):
+        model_a, phi_a = real_system(rng, 5, 30)
+        model_b, phi_b = real_system(rng, 5, 30)
+        assert all(b.is_real for b in _bases(model_a, phi_a, model_b, phi_b))
+        self.assert_never_reads_k(model_a, phi_a, model_b, phi_b)
+
+    @staticmethod
+    def assert_never_reads_k(model_a, phi_a, model_b, phi_b):
         blank_a, blank_b = (replace(m, K=np.full_like(m.K, np.nan)) for m in (model_a, model_b))
         want = compare(model_a, phi_a, model_b, phi_b, "f")
         got = compare(blank_a, phi_a, blank_b, phi_b, "f")
@@ -490,6 +500,16 @@ class TestCompare:
                 ac = getattr(d[0, 2], attr)
                 cb = getattr(d[2, 1], attr)
                 assert ab <= ac + cb + 1e-8
+
+    @pytest.mark.parametrize("n_steps", [4, 20])
+    def test_procrustes_rank_and_smallest_kept_singular_value(self, rng, n_steps):
+        model_a, phi_a = random_system(rng, 8, n_steps)
+        model_b, phi_b = random_system(rng, 8, n_steps)
+        diag = compare(model_a, phi_a, model_b, phi_b).diagnostics
+        s = svd(phi_b.phi @ phi_a.phi.conj().T).S
+        rank = numerical_rank(s)
+        assert diag.procrustes_rank == rank == min(8, n_steps)
+        assert diag.procrustes_sigma_min == s[rank - 1]
 
     def test_bare_phi_arrays_rejected(self, rng):
         # A bare array has no scales to rebuild Psi with; the model's own
@@ -681,3 +701,130 @@ class TestStructuredCr2MatchesDense:
             t_c2 = recover_t(c2, model_f, model_g, psi_f, psi_g, report.t_lsq)
         np.testing.assert_array_equal(report.t_c_r1, t_c1)
         assert np.linalg.norm(report.t_c_r2 - t_c2) <= n * eps * cond * np.linalg.norm(t_c2)
+
+
+class TestRealBasis:
+    """Real systems run in their real canonical bases; the public complex
+    helpers, applied to the complex arrays, are the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 16), fewer_steps=st.booleans())
+    def test_matches_complex_helpers(self, seed, n, fewer_steps):
+        rng = np.random.default_rng(seed)
+        n_steps = n // 2 + 1 if fewer_steps else 2 * n
+        model_f, phi_f = real_system(rng, n, n_steps)
+        model_g, phi_g = real_system(rng, n, n_steps)
+        assert all(b.is_real for b in _bases(model_f, phi_f, model_g, phi_g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = compare(model_f, phi_f, model_g, phi_g, "none")
+        corners = report.corners
+
+        pf, pg = phi_f.phi, phi_g.phi
+        lf, lg = model_f.lambdas, model_g.lambdas
+        c1 = solve_c_r1(pf, pg)
+        pi = solve_permutation(lf, lg)
+        gamma = solve_gamma(pf, pg, pi)
+        c2 = gamma[:, None] * permutation_matrix(pi)
+        want = ParetoCorners(
+            c1, pi, gamma, residual_r1(pf, pg, c1), residual_r2(lf, lg, c1),
+            residual_r1(pf, pg, c2), residual_r2(lf, lg, c2),
+        )
+        want_devs = pareto_deviations(want)
+        psi_f = reconstruct_observables(model_f, phi_f)
+        psi_g = reconstruct_observables(model_g, phi_g)
+        t_lsq = lsq_transform(psi_f, psi_g)
+        m = model_g.W @ t_lsq @ model_f.R
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t_c1 = recover_t(c1, model_f, model_g, psi_f, psi_g, t_lsq)
+            t_c2 = recover_t(c2, model_f, model_g, psi_f, psi_g, t_lsq)
+
+        np.testing.assert_array_equal(corners.permutation, pi)
+        eps = np.finfo(float).eps
+        tol = n * eps * np.sqrt(n)
+        phi_scale = np.linalg.norm(pf) + np.linalg.norm(pg)
+        lam_scale = np.linalg.norm(lf) + np.linalg.norm(lg)
+        assert abs(corners.r1_at_cr1 - want.r1_at_cr1) <= tol * phi_scale
+        assert abs(corners.r2_at_cr2 - want.r2_at_cr2) <= tol * lam_scale
+        assert abs(report.deviations.d_min - want_devs.d_min) <= tol * (phi_scale + lam_scale)
+        # Gamma is the phase of Phi_g pinv(P Phi_f): its rounding is that of
+        # the pseudoinverse, relative to the entry it is the phase of, and
+        # r1(C_r2) = ||Phi_g - Gamma P Phi_f|| carries it row by row.
+        aligned = pf[np.argsort(pi)]
+        aligned_pinv = pinv(aligned)
+        raw = np.einsum("ij,ji->i", pg, aligned_pinv)
+        s = svd(aligned_pinv).S
+        cond_pf = s[0] / s[numerical_rank(s) - 1]
+        gamma_tol = tol * cond_pf * np.linalg.norm(pg, axis=1) * s[0] / np.abs(raw)
+        assert np.all(np.abs(corners.gamma - gamma) <= gamma_tol)
+        r1_c2_tol = tol * phi_scale + np.linalg.norm(gamma_tol * np.linalg.norm(aligned, axis=1))
+        assert abs(corners.r1_at_cr2 - want.r1_at_cr2) <= r1_c2_tol
+        # T_LSQ = Psi_g pinv(Psi_f) adds the least squares problem's
+        # cond(Psi_f) to the n eps cond(W_f) cond(W_g) of the transforms, and
+        # T_C = R_g Omega^-1 C W_f takes Omega^-1 from diagonal entries of
+        # M C*, M = W_g T_LSQ R_f, which carry rounding of order eps ||M||.
+        cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W) * np.linalg.cond(psi_f)
+        omega = np.abs(np.diag(m @ c2.conj().T))
+        t_tol = n * eps * cond * np.linalg.norm(m, 2) / omega.min()
+        assert np.linalg.norm(report.t_c_r2 - t_c2) <= t_tol * np.linalg.norm(t_c2)
+        if fewer_steps:
+            # Phi_g Phi_f* is rank-deficient: C_r1, and with it r2(C_r1),
+            # d_avg, d_max, T_C_r1 and T_LSQ's residuals, depend on its null block.
+            assert report.diagnostics.procrustes_rank < n
+            return
+        # The unitary polar factor C_r1 moves by up to ||dA|| / sigma_min of
+        # A = Phi_g Phi_f*; r1(C_r1), at its minimum, does not to first order.
+        assert report.diagnostics.procrustes_rank == n
+        cond_c1 = svd(pg @ pf.conj().T).S[0] / report.diagnostics.procrustes_sigma_min
+        assert abs(corners.r2_at_cr1 - want.r2_at_cr1) <= tol * cond_c1 * lam_scale
+        for got, exact in ((report.deviations.d_avg, want_devs.d_avg), (report.deviations.d_max, want_devs.d_max)):
+            assert abs(got - exact) <= tol * cond_c1 * (phi_scale + lam_scale)
+        omega = np.abs(np.diag(m @ c1.conj().T))
+        t_tol = n * eps * cond * np.linalg.norm(m, 2) / omega.min()
+        assert np.linalg.norm(report.t_c_r1 - t_c1) <= t_tol * cond_c1 * np.linalg.norm(t_c1)
+        assert np.linalg.norm(report.t_lsq - t_lsq) <= n * eps * cond * np.linalg.norm(t_lsq)
+
+    def test_one_ulp_off_takes_the_complex_basis_exactly(self, rng):
+        # A W whose pair rows differ by one ulp is not closed under
+        # conjugation: compare runs the complex arithmetic, number for number
+        # that of the public complex helpers.
+        model_f, phi_f = real_system(rng, 7, 20)
+        model_g, phi_g = real_system(rng, 7, 20)
+        j = conjugate_basis(model_f.lambdas).pairs[0]
+        w = model_f.W.copy()
+        w[j + 1, 3] = complex(np.nextafter(w[j + 1, 3].real, np.inf), w[j + 1, 3].imag)
+        psi_f = raw_observables(reconstruct_observables(model_f, phi_f))
+        model_f = replace(model_f, W=w)
+        phi_f = eigenfunction_trajectories(model_f, psi_f)
+        assert not conjugate_basis(model_f.lambdas, model_f.W).is_real
+        assert not any(b.is_real for b in _bases(model_f, phi_f, model_g, phi_g))
+        report = compare(model_f, phi_f, model_g, phi_g, "f")
+
+        pf, pg = phi_f.phi, phi_g.phi
+        lf, lg = model_f.lambdas, model_g.lambdas
+        phi_norm, lam_norm = np.linalg.norm(pf), np.linalg.norm(lf)
+        corners = report.corners
+        c1 = solve_c_r1(pf, pg)
+        np.testing.assert_array_equal(corners.c_r1, c1)
+        np.testing.assert_array_equal(corners.permutation, solve_permutation(lf, lg))
+        np.testing.assert_array_equal(corners.gamma, solve_gamma(pf, pg, corners.permutation))
+        assert corners.r1_at_cr1 == residual_r1(pf, pg, c1) / phi_norm
+        assert corners.r2_at_cr1 == residual_r2(lf, lg, c1) / lam_norm
+        assert corners.r2_at_cr2 == np.linalg.norm(lf - lg[corners.permutation]) / lam_norm
+        psi_f = reconstruct_observables(model_f, phi_f)
+        psi_g = reconstruct_observables(model_g, phi_g)
+        t_lsq = lsq_transform(psi_f, psi_g)
+        np.testing.assert_array_equal(report.t_lsq, t_lsq)
+        # The pull-backs, T_C = R_g Omega^-1 C W_f, written out.
+        m = model_g.W @ t_lsq @ model_f.R
+        omega = np.einsum("ij,ij->i", m, c1.conj())
+        np.testing.assert_array_equal(report.t_c_r1, model_g.R @ (omega[:, None] * (c1 @ model_f.W)))
+        inv_pi, gamma = np.argsort(corners.permutation), corners.gamma
+        omega = m[np.arange(7), inv_pi] * gamma.conj()
+        t_c2 = model_g.R @ (omega[:, None] * (gamma[:, None] * model_f.W[inv_pi]))
+        np.testing.assert_array_equal(report.t_c_r2, t_c2)
+        d = lf - lg[corners.permutation]
+        assert report.psi_residuals["T_C_r2"][0] == np.linalg.norm((model_f.R * d) @ model_f.W)
+        for name, t in (("T_C_r1", report.t_c_r1), ("T_C_r2", report.t_c_r2), ("T_LSQ", t_lsq)):
+            assert report.psi_residuals[name][1] == np.linalg.norm(psi_g - t @ psi_f)

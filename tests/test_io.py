@@ -3,6 +3,7 @@ import base64
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from koopmetrics.io import (
     write_trajectory_csv,
 )
 
-from conftest import lifted_system, random_diagonalizable
+from koopmetrics.koopman import decompose
+from koopmetrics.linalg import conjugate_basis
+
+from conftest import lifted_system, random_diagonalizable, real_system
 
 
 def encode_complex_v1(arr):
@@ -54,6 +58,59 @@ def save_model_v1(record, path):
         "nSteps": record.n_steps,
     }
     io.atomic_write_text(path, json.dumps(doc))
+
+
+def encode_array_whole(arr):
+    """A schema v2 payload encoded in one piece."""
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
+        arr = arr.real
+    data = np.ascontiguousarray(arr, dtype="<c16" if np.iscomplexobj(arr) else "<f8")
+    return {"dtype": data.dtype.str, "shape": list(data.shape),
+            "data": base64.b64encode(data.tobytes()).decode("ascii")}
+
+
+def model_file_text(record):
+    """The schema v2 document as one json.dumps, the text save_model streams."""
+    m = record.model
+    return json.dumps({
+        "schemaVersion": 2,
+        "nPsi": m.n_psi,
+        "dt": m.dt,
+        "ridge": m.ridge,
+        "spectrumKind": record.spectrum_kind,
+        "layout": {
+            "names": list(record.names),
+            "hasConstant": record.has_constant,
+            "nPrimary": record.n_primary,
+            "aux": record.aux_enabled,
+            "theta": list(record.theta) if record.theta is not None else None,
+        },
+        "eigCondition": m.eig_condition,
+        "nSteps": record.n_steps,
+        "diagnostics": {"oneStepResidual": record.one_step_residual},
+        "K": encode_array_whole(m.K),
+        "W": encode_array_whole(m.W),
+        "Lambda": encode_array_whole(m.lambdas),
+        "scales": encode_array_whole(m.scales),
+        "phi0": encode_array_whole(record.phi0),
+    })
+
+
+def real_record(rng, n, n_steps=15):
+    """Record of a real K and real observables: closed under conjugation."""
+    model, phi = real_system(rng, n, n_steps)
+    return ModelRecord(
+        model=dataclasses.replace(model, scales=phi.scales),
+        names=tuple(f"g{i}" for i in range(n)),
+        has_constant=False,
+        n_primary=n,
+        aux_enabled=False,
+        theta=None,
+        phi0=phi.phi[:, 0].copy(),
+        n_steps=n_steps,
+        one_step_residual=None,
+    )
 
 
 @pytest.fixture
@@ -282,6 +339,65 @@ class TestModelFile:
         phi = record.implied_trajectory()
         assert phi.phi.shape == (4, 15)
         np.testing.assert_allclose(np.max(np.abs(phi.phi), axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["discrete", "generator"])
+    def test_implied_trajectory_of_a_complex_model_row_by_row(self, record, kind):
+        # Not closed under conjugation: every row is phi0_i growth_i^n as before.
+        record = dataclasses.replace(record, spectrum_kind=kind)
+        lam, steps = record.model.lambdas, np.arange(record.n_steps)
+        if kind == "generator":
+            growth = np.exp(np.outer(lam * record.model.dt, steps))
+        else:
+            growth = lam[:, None] ** steps[None, :]
+        want = record.phi0[:, None] * growth
+        want_scales = 1.0 / np.max(np.abs(want), axis=1)
+        got = record.implied_trajectory()
+        assert got.phi.tobytes() == (want * want_scales[:, None]).tobytes()
+        assert got.scales.tobytes() == want_scales.tobytes()
+
+    def test_implied_trajectory_of_a_real_model_is_closed(self):
+        # n_steps > 100: numpy's complex power leaves negative real eigenvalues
+        # a rounding-level imaginary part there.
+        record = real_record(np.random.default_rng(3), 9, n_steps=150)
+        lam = record.model.lambdas
+        assert np.any((lam.imag == 0) & (lam.real < 0))
+        basis = conjugate_basis(lam, record.model.W, record.phi0)
+        assert basis.is_real and basis.pairs.size
+        phi = record.implied_trajectory()
+        j = basis.pairs
+        np.testing.assert_array_equal(phi.phi[j + 1], phi.phi[j].conj())
+        assert not np.any(phi.phi[basis.lone].imag)
+        want = record.phi0[:, None] * lam[:, None] ** np.arange(150)
+        want /= np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.abs(phi.phi - want).max() <= 150 * 10 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_file_is_one_json_dumps(self, record, tmp_path, kind):
+        record = real_record(np.random.default_rng(4), 6) if kind == "real" else record
+        path = tmp_path / "model.json"
+        save_model(record, str(path))
+        assert path.read_bytes() == model_file_text(record).encode("ascii")
+        if kind == "real":
+            assert json.load(open(path))["K"]["dtype"] == "<f8"
+
+    def test_save_holds_less_than_one_encoded_payload(self, rng, tmp_path):
+        # W of n = 200 is 640 kB, 853 kB encoded; save_model streams it in
+        # chunks of io.PAYLOAD_CHUNK_BYTES instead of holding the document,
+        # and the chunks' encodings join to the payload's.
+        n = 200
+        model = decompose(rng.standard_normal((n, n)), dt=0.1)
+        rec = ModelRecord(model=model, names=("a",), has_constant=False, n_primary=1,
+                          aux_enabled=False, theta=None, phi0=model.W[:, 0].copy(), n_steps=5)
+        encoded_w = len(encode_array_whole(model.W)["data"])
+        assert io.PAYLOAD_CHUNK_BYTES < model.W.nbytes
+        tracemalloc.start()
+        try:
+            save_model(rec, str(tmp_path / "model.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < encoded_w
+        assert (tmp_path / "model.json").read_bytes() == model_file_text(rec).encode("ascii")
 
 
 class TestReportFile:

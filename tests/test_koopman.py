@@ -22,7 +22,7 @@ from koopmetrics.koopman import (
     lift_columns,
     reconstruct_observables,
 )
-from koopmetrics.linalg import DiagonalizabilityError, eig
+from koopmetrics.linalg import DiagonalizabilityError, conjugate_basis, eig
 
 from conftest import lifted_system, random_diagonalizable, random_well_conditioned, raw_observables
 
@@ -169,6 +169,21 @@ class TestDecompose:
         with pytest.raises(ValueError, match="singular"):
             dataclasses.replace(model, W=np.zeros((4, 4), dtype=complex), R=None)
 
+    def test_right_eigenvectors_of_a_real_structured_w_from_the_real_inverse(self, rng):
+        # W closed under conjugation: R = inv(W_re) Q, whose columns at each
+        # pair are exact conjugates; equal to inv(W) up to rounding only.
+        model = decompose(rng.standard_normal((12, 12)), dt=0.1)
+        basis = conjugate_basis(model.lambdas, model.W)
+        assert basis.is_real and basis.pairs.size
+        rebuilt = dataclasses.replace(model, R=None)
+        r = rebuilt.R
+        np.testing.assert_array_equal(r[:, basis.pairs + 1], r[:, basis.pairs].conj())
+        assert not np.any(r[:, basis.lone].imag)
+        n = model.n_psi
+        tol = 10 * n * np.finfo(float).eps * model.eig_condition
+        assert np.linalg.norm(model.W @ r - np.eye(n)) <= tol
+        assert np.linalg.norm(r - np.linalg.inv(model.W)) <= tol * np.linalg.norm(r)
+
     def test_left_eigenvector_residual(self, rng):
         k = random_diagonalizable(rng, 5)
         model = decompose(k, dt=0.2)
@@ -234,6 +249,19 @@ class TestEigenfunctions:
             traj.scales, 1.0 / np.max(np.abs(model.W @ psi), axis=1)
         )
         np.testing.assert_array_equal(model.scales, np.ones(4))
+
+    def test_real_data_gives_conjugate_rows(self, rng):
+        vals = rng.standard_normal((2, 40))
+        obs = build_observables(series(vals), AuxiliaryConfig((0.8, 1.1)))
+        model = decompose(identify_operator(obs, default_ridge(obs)), dt=obs.dt)
+        traj = eigenfunction_trajectories(model, obs)
+        basis = conjugate_basis(model.lambdas, model.W, traj.phi, traj.scales)
+        assert basis.is_real and basis.pairs.size
+        np.testing.assert_array_equal(traj.phi[basis.pairs + 1], traj.phi[basis.pairs].conj())
+        reference = model.W @ obs.psi
+        scale = np.linalg.norm(model.W) * np.linalg.norm(obs.psi)
+        tol = 10 * model.n_psi * np.finfo(float).eps * scale
+        assert np.linalg.norm(traj.phi / traj.scales[:, None] - reference) <= tol
 
     def test_model_unchanged_by_trajectories(self, rng):
         model = decompose(random_diagonalizable(rng, 5), dt=0.1)

@@ -5,9 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from koopmetrics.conjugacy import solve_permutation
 from koopmetrics.linalg import (
+    COMPLEX_BASIS,
+    SQRT_HALF,
     DiagonalizabilityError,
     as_matrix,
+    conjugate_basis,
     eig,
+    numerical_rank,
     pinv,
     svd,
     unitarity_defect,
@@ -211,3 +215,101 @@ class TestPinv:
     def test_rejects_nonpositive_rtol(self):
         with pytest.raises(ValueError, match="rtol"):
             pinv(np.eye(2), rtol=0.0)
+
+
+larger_real_systems = st.builds(
+    real_diagonalizable,
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 10),
+    st.integers(2, 10),
+)
+
+
+def dense_q(basis, n):
+    """The unitary Q of a real canonical basis as a dense matrix."""
+    q = np.zeros((n, n), dtype=complex)
+    q[basis.lone, basis.lone] = 1.0
+    j, k = basis.pairs, basis.pairs + 1
+    q[j, j] = q[j, k] = SQRT_HALF
+    q[k, j], q[k, k] = 1j * SQRT_HALF, -1j * SQRT_HALF
+    return q
+
+
+class TestRealCanonicalBasis:
+    """Real spectra: eig inverts in the real canonical basis, whose maps are Q."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(larger_real_systems)
+    def test_eig_gives_conjugate_rows_within_the_gates(self, k):
+        n = k.shape[0]
+        res = eig(k)
+        basis = conjugate_basis(res.lambdas, res.W, res.R.T)
+        assert basis.is_real
+        j = basis.pairs
+        np.testing.assert_array_equal(res.W[j + 1], res.W[j].conj())
+        assert not np.any(res.W[basis.lone].imag)
+        residual = np.linalg.norm(res.W @ k - res.lambdas[:, None] * res.W)
+        assert residual <= n * ROUNDING * res.condition_number * np.linalg.norm(k)
+        identity_defect = np.linalg.norm(res.W @ res.R - np.eye(n))
+        assert identity_defect <= n * ROUNDING * res.condition_number
+
+    @settings(max_examples=60, deadline=None)
+    @given(larger_real_systems, st.integers(0, 2**32 - 1))
+    def test_maps_are_q_and_round_trip(self, k, seed):
+        n = k.shape[0]
+        res = eig(k)
+        basis = conjugate_basis(res.lambdas, res.W, res.R.T)
+        q = dense_q(basis, n)
+        w_b, r_b = basis.rows_in(res.W), basis.cols_in(res.R)
+        assert w_b.dtype == r_b.dtype == np.float64
+        for got, want in ((w_b, q @ res.W), (r_b, res.R @ q.conj().T)):
+            assert np.linalg.norm(got - want) <= ROUNDING * np.linalg.norm(want)
+        for got, want in ((basis.rows_out(w_b), res.W), (basis.cols_out(r_b), res.R)):
+            assert np.linalg.norm(got - want) <= ROUNDING * np.linalg.norm(want)
+        # Unstructured complex arrays and diagonals go through the same Q.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3 * n)) + 1j * rng.standard_normal((n, 3 * n))
+        y = rng.standard_normal((n, n))
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cols = rng.permutation(n)
+        block = q @ np.diag(d) @ q.conj().T
+        for got, want in (
+            (basis.rows_in(x), q @ x),
+            (basis.rows_out(y), q.conj().T @ y),
+            (basis.cols_in(x.T), x.T @ q.conj().T),
+            (basis.cols_out(y), y @ q),
+            (basis.cols_out_at(y, cols), (y @ q)[np.arange(n), cols]),
+            (basis.scale_rows(d, y), block @ y),
+            (basis.scale_cols(y, d), y @ block),
+            (basis.diag(d), block),
+        ):
+            assert np.linalg.norm(got - want) <= n * ROUNDING * np.linalg.norm(want)
+        # A spectrum closed under conjugation gives real blocks [[a, b], [-b, a]].
+        lam_block = basis.diag(res.lambdas)
+        assert lam_block.dtype == np.float64
+        a, b = res.lambdas[basis.pairs].real, res.lambdas[basis.pairs].imag
+        np.testing.assert_array_equal(lam_block[basis.pairs, basis.pairs], a)
+        np.testing.assert_array_equal(lam_block[basis.pairs, basis.pairs + 1], b)
+        np.testing.assert_array_equal(lam_block[basis.pairs + 1, basis.pairs], -b)
+
+    def test_complex_and_broken_structure_keep_the_identity(self, rng):
+        k = real_diagonalizable(3, 2, 3)
+        res = eig(k)
+        assert conjugate_basis(res.lambdas, res.W).is_real
+        assert conjugate_basis(res.lambdas.astype(complex) * 1j) is COMPLEX_BASIS
+        j = conjugate_basis(res.lambdas).pairs[0]
+        # A pair whose partner is not its neighbour.
+        apart = np.r_[j, np.delete(np.arange(k.shape[0]), [j, j + 1]), j + 1]
+        assert conjugate_basis(res.lambdas[apart], res.W[apart]) is COMPLEX_BASIS
+        w = res.W.copy()
+        w[j + 1, 0] = complex(np.nextafter(w[j + 1, 0].real, np.inf), w[j + 1, 0].imag)
+        assert conjugate_basis(res.lambdas, w) is COMPLEX_BASIS
+        x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        for mapped in (COMPLEX_BASIS.rows_in(x), COMPLEX_BASIS.cols_out(x)):
+            assert mapped is x
+
+    def test_numerical_rank_matches_pinv(self):
+        s = np.array([2.0, 1.0, 1e-11, 0.0])
+        assert numerical_rank(s) == 2
+        assert numerical_rank(np.zeros(3)) == 0
+        assert pinv(np.diag(s), return_rank=True)[1] == 2
