@@ -6,7 +6,12 @@ Subcommands:
   benchmark-sweep  deviation table of the analytic benchmark pair over (alpha, beta)
   hopping          simulate the hopping example and export its observables
 
-Exit codes: 0 success, 1 computational failure, 2 usage or I/O error.
+``identify`` saves the model with its training series; ``compare`` re-lifts
+each model's series to Phi = W Psi, as the library does, and compares the
+first min(T_a, T_b) snapshots.
+
+Exit codes: 0 success, 1 computational failure, 2 usage or I/O error
+(out-of-range flag values and unreadable or malformed files included).
 """
 from __future__ import annotations
 
@@ -27,7 +32,6 @@ from .koopman import (
     decompose,
     default_ridge,
     default_theta,
-    eigenfunction_trajectories,
     fit_theta,
     identify_operator,
 )
@@ -48,6 +52,13 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         raise UsageFailure(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
+def _positive_floats(text: str, flag: str) -> tuple[float, ...]:
+    values = _parse_floats(text, flag)
+    if not all(v > 0 for v in values):
+        raise UsageFailure(f"{flag} expects positive numbers, got {text!r}")
+    return values
+
+
 def _require_file(path: str) -> str:
     if not os.path.exists(path):
         raise UsageFailure(f"input file not found: {path}")
@@ -55,6 +66,10 @@ def _require_file(path: str) -> str:
 
 
 def cmd_identify(args) -> int:
+    if args.dt is not None and not args.dt > 0:
+        raise UsageFailure(f"--dt must be positive, got {args.dt:g}")
+    if args.ridge is not None and not args.ridge >= 0:
+        raise UsageFailure(f"--ridge must be nonnegative, got {args.ridge:g}")
     series = io.read_trajectory_csv(_require_file(args.input), dt=args.dt)
     train_steps = args.train_steps or series.n_steps
     if not 2 <= train_steps <= series.n_steps:
@@ -69,11 +84,11 @@ def cmd_identify(args) -> int:
         if train_steps >= series.n_steps:
             raise UsageFailure("--fit-theta needs holdout steps beyond --train-steps")
         holdout = series.window(train_steps, series.n_steps)
-        grid = _parse_floats(args.theta_grid, "--theta-grid")
+        grid = _positive_floats(args.theta_grid, "--theta-grid")
         aux = fit_theta(train, holdout, grid, ridge=args.ridge)
         print(f"fitted theta: {', '.join(f'{t:g}' for t in aux.theta)}")
     elif args.theta is not None:
-        theta = _parse_floats(args.theta, "--theta")
+        theta = _positive_floats(args.theta, "--theta")
         if len(theta) != train.n_primary:
             raise UsageFailure(
                 f"--theta needs {train.n_primary} values, got {len(theta)}"
@@ -90,19 +105,7 @@ def cmd_identify(args) -> int:
         / max(np.linalg.norm(obs.psi[:, 1:]), 1e-300)
     )
     model = decompose(k, obs.dt, ridge)
-    phi = eigenfunction_trajectories(model, obs)
-    record = io.ModelRecord(
-        model=replace(model, scales=phi.scales),
-        names=obs.names,
-        has_constant=obs.has_constant,
-        n_primary=obs.n_primary,
-        aux_enabled=obs.aux is not None,
-        theta=obs.aux.theta if obs.aux is not None else None,
-        phi0=phi.phi[:, 0].copy(),
-        n_steps=obs.n_steps,
-        spectrum_kind="discrete",
-        one_step_residual=residual,
-    )
+    record = io.ModelRecord(model=model, series=train, aux=aux, one_step_residual=residual)
     io.save_model(record, args.output)
     mods = np.abs(model.lambdas)
     print(f"n_psi: {model.n_psi}")
@@ -123,13 +126,12 @@ def cmd_compare(args) -> int:
         raise UsageFailure(
             f"model dimensions differ: {rec_a.model.n_psi} vs {rec_b.model.n_psi}"
         )
-    if rec_a.spectrum_kind != rec_b.spectrum_kind:
-        raise UsageFailure(
-            f"cannot compare spectrum kinds {rec_a.spectrum_kind!r} and {rec_b.spectrum_kind!r}"
-        )
-    horizon = min(rec_a.n_steps, rec_b.n_steps)
-    phi_a = rec_a.implied_trajectory(horizon)
-    phi_b = rec_b.implied_trajectory(horizon)
+    # --no-aux models of one n_psi may differ in T: compare the common snapshots.
+    horizon = min(rec_a.series.n_steps, rec_b.series.n_steps)
+    phi_a, phi_b = (
+        replace(traj, phi=traj.phi[:, :horizon])
+        for traj in (rec_a.implied_trajectory(), rec_b.implied_trajectory())
+    )
     normalization = {"a": "f", "b": "g", "none": "none"}[args.reference]
     report = conjugacy.compare(rec_a.model, phi_a, rec_b.model, phi_b, normalization)
     corners, devs, diag = report.corners, report.deviations, report.diagnostics
@@ -138,12 +140,12 @@ def cmd_compare(args) -> int:
         "systems": {
             "a": {
                 "path": args.model_a,
-                "names": list(rec_a.names),
+                "names": list(rec_a.series.names),
                 "sha256": io.file_sha256(args.model_a),
             },
             "b": {
                 "path": args.model_b,
-                "names": list(rec_b.names),
+                "names": list(rec_b.series.names),
                 "sha256": io.file_sha256(args.model_b),
             },
         },
@@ -196,8 +198,8 @@ def cmd_benchmark_sweep(args) -> int:
     x0 = _parse_floats(args.x0, "--x0")
     if len(x0) != 2:
         raise UsageFailure(f"--x0 expects two numbers, got {len(x0)}")
-    params = benchmark.BenchmarkParams(dt=args.dt, steps=args.steps, x0=x0)
     try:
+        params = benchmark.BenchmarkParams(dt=args.dt, steps=args.steps, x0=x0)
         alphas = benchmark.grid_values(args.alpha_min, args.alpha_max, args.step)
         betas = benchmark.grid_values(args.beta_min, args.beta_max, args.step)
     except ValueError as exc:
@@ -221,6 +223,8 @@ def cmd_benchmark_sweep(args) -> int:
 
 def cmd_hopping(args) -> int:
     actuator = hopper.Actuator(args.actuator)
+    if args.bins < 2:
+        raise UsageFailure(f"--bins must be at least 2, got {args.bins}")
     overrides = {}
     for item in args.set or []:
         if "=" not in item:

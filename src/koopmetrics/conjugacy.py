@@ -149,6 +149,8 @@ class ConjugacyReport:
     (module docstring), is None where undefined: for T_LSQ when Psi_f has
     numerical rank below n at pinv's relative cut-off (always so with fewer
     snapshots than observables), since T_LSQ = Psi_g Psi_f+ is then singular.
+    The T_LSQ trajectory residual is exactly 0.0 when that rank equals the
+    snapshot count T, where T_LSQ Psi_f = Psi_g holds in exact arithmetic.
     """
 
     corners: ParetoCorners
@@ -612,10 +614,15 @@ def compare(
         procrustes_rank=procrustes_rank,
         procrustes_sigma_min=float(sigma[procrustes_rank - 1]) if procrustes_rank else 0.0,
     )
-    operators = (operator_c1, _operator_residual(r_f_b, w_f_b, bracket_c2, bf), operator_lsq)
+
+    def fit(t) -> float:
+        return float(np.linalg.norm(psi_g - _matmul(t, psi_f)))
+
     residuals = {
-        name: (op, float(np.linalg.norm(psi_g - _matmul(t, psi_f))))
-        for name, t, op in zip(("T_C_r1", "T_C_r2", "T_LSQ"), (t_c1, t_c2, t_lsq), operators)
+        "T_C_r1": (operator_c1, fit(t_c1)),
+        "T_C_r2": (_operator_residual(r_f_b, w_f_b, bracket_c2, bf), fit(t_c2)),
+        # At rank T, pinv(Psi_f) Psi_f = I_T: T_LSQ fits Psi_g exactly.
+        "T_LSQ": (operator_lsq, 0.0 if lsq_rank == pf.shape[1] else fit(t_lsq)),
     }
     return ConjugacyReport(
         corners=corners,

@@ -4,32 +4,29 @@ All writes are atomic (temp file in the target directory, then rename), so a
 crashed run never leaves a truncated artifact. A model file is streamed:
 the header, then one array payload at a time, base64-encoded in chunks.
 
-Model files (schema v2) are a JSON header of scalars and layout plus five
-arrays, ``K``, ``W``, ``Lambda``, ``scales`` and ``phi0``, each stored as
+Model files (schema v3) are a JSON header of scalars and layout plus four
+arrays, ``K``, ``W``, ``Lambda`` and ``primary``, each stored as
 ``{"dtype", "shape", "data"}``: ``data`` is the base64 of the array's
 little-endian C-order bytes and ``dtype`` is ``<c16`` (complex128) or
 ``<f8`` (float64). A real array, such as the K identified from real data,
 and a complex array whose imaginary parts are all +0.0 are stored as
-``<f8``; ``scales`` is always ``<f8``. Loading returns complex128
-(float64 for ``scales``) arrays bit for bit, and the header's floats go
-through JSON's shortest round-trip repr, which is exact too. The header's
+``<f8``. ``primary`` is the training series identify fitted, one row per
+named observable (``layout.names``) and one column per snapshot, always
+``<f8``; ``layout.theta`` holds the correlation widths, or null without
+auxiliary observables. Loading returns complex128 (float64 for
+``primary``) arrays bit for bit, and the header's floats go through JSON's
+shortest round-trip repr, which is exact too. The header's
 ``diagnostics`` object holds identification health numbers
 (``oneStepResidual``). R = W^-1 is not stored: loading inverts W once (in
 real arithmetic when W is closed under conjugation, see
 ``KoopmanModel``), and a W whose inverse fails or is not finite makes the
-file malformed.
-Schema v1 files, which store complex arrays as row-major lists of [re, im]
-pairs, stay readable; only v2 is written. Both schemas share one
-validation path, and every malformed file raises FileFormatError.
+file malformed, as does a layout that does not lift to ``nPsi`` rows.
+Schema v1 and v2 files store no training data and are rejected; every
+malformed file raises FileFormatError.
 
-Model files carry, besides the operator and its decomposition, the scaled
-eigenfunction values at the first sample (``phi0``) and the trajectory
-length. That is enough to rebuild the model-implied eigenfunction
-trajectory phi0_i * lambda_i^n for comparisons between saved models without
-shipping the full training data; for a model closed under conjugation each
-pair's second row is the exact conjugate of its first. ``spectrumKind``
-distinguishes discrete one-step operators from continuous-time generators
-(whose rows evolve as exp(lambda * dt * n)).
+The stored series and theta rebuild the training observables Psi bit for
+bit through ``build_observables``, so the eigenfunction trajectory of a
+saved model is computed as the library computes it, Phi = W Psi.
 """
 from __future__ import annotations
 
@@ -46,15 +43,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .koopman import EigenfunctionTrajectory, KoopmanModel, PrimarySeries
-from .linalg import conjugate_basis
+from .koopman import (
+    AuxiliaryConfig,
+    EigenfunctionTrajectory,
+    KoopmanModel,
+    PrimarySeries,
+    build_observables,
+    eigenfunction_trajectories,
+)
 
-MODEL_SCHEMA_VERSION = 2
-READABLE_MODEL_SCHEMAS = (1, 2)
+MODEL_SCHEMA_VERSION = 3
 REPORT_SCHEMA_VERSION = 1
 
-# Array payload dtypes of schema v2: explicit little-endian, so files do not
-# depend on the byte order of the machine that wrote them.
+# Array payload dtypes: explicit little-endian, so files do not depend on
+# the byte order of the machine that wrote them.
 PAYLOAD_DTYPES = ("<f8", "<c16")
 
 # Raw bytes base64-encoded per write by save_model: a multiple of 3, so the
@@ -72,51 +74,39 @@ class FileFormatError(ValueError):
     """A file exists but does not parse as the expected format."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelRecord:
-    """A saved model plus the layout metadata needed to reuse it.
+    """A saved model plus the training data it was identified from.
 
-    ``one_step_residual`` is identify's relative one-step fit residual
-    ||Psi' - K Psi||_F / ||Psi'||_F, or None where unknown (schema v1 files).
+    ``series`` and ``aux`` are what identify lifted: ``build_observables``
+    of them gives the model's observables, one constant row, the primary
+    rows and, with ``aux`` enabled, one auxiliary row per snapshot. A record
+    whose layout does not give ``model.n_psi`` rows, or whose series and
+    model disagree on dt, is a ValueError. ``one_step_residual`` is
+    identify's relative one-step fit residual ||Psi' - K Psi||_F / ||Psi'||_F.
     """
 
     model: KoopmanModel
-    names: tuple[str, ...]
-    has_constant: bool
-    n_primary: int
-    aux_enabled: bool
-    theta: tuple[float, ...] | None
-    phi0: np.ndarray
-    n_steps: int
-    spectrum_kind: str = "discrete"
-    one_step_residual: float | None = None
+    series: PrimarySeries
+    aux: AuxiliaryConfig
+    one_step_residual: float
 
-    def implied_trajectory(self, n_steps: int | None = None) -> EigenfunctionTrajectory:
-        """Model-implied eigenfunction rows phi0_i * growth_i^n, re-normalized.
+    def __post_init__(self):
+        n_primary, n_steps = self.series.values.shape
+        if self.aux.enabled and len(self.aux.theta) != n_primary:
+            raise ValueError(f"{len(self.aux.theta)} theta values for {n_primary} primary rows")
+        n_aux = n_steps if self.aux.enabled else 0
+        if self.model.n_psi != 1 + n_primary + n_aux:
+            raise ValueError(
+                f"nPsi {self.model.n_psi} != 1 constant + {n_primary} primary "
+                f"+ {n_aux} auxiliary rows"
+            )
+        if self.model.dt != self.series.dt:
+            raise ValueError(f"model dt {self.model.dt} != series dt {self.series.dt}")
 
-        Generator-kind models grow as exp(lambda dt n); discrete models as
-        lambda^n. Rows are rescaled so the maximum modulus over the horizon
-        is one, matching the convention of trajectories computed from data.
-        When lambdas, W and phi0 are closed under conjugation, only each
-        pair's first row is grown; its partner is the exact conjugate, and
-        the rows of real eigenvalues are real (a negative lambda^n taken in
-        complex arithmetic keeps a rounding-level imaginary part).
-        """
-        n = self.n_steps if n_steps is None else n_steps
-        steps = np.arange(n)
-        lambdas = self.model.lambdas
-        basis = conjugate_basis(lambdas, self.model.W, self.phi0)
-        rows = basis.heads(lambdas.size)
-        if self.spectrum_kind == "generator":
-            growth = np.exp(np.outer(lambdas[rows] * self.model.dt, steps))
-        else:
-            growth = lambdas[rows, None] ** steps[None, :]
-        phi = np.empty((lambdas.size, n), dtype=complex)
-        phi[rows] = self.phi0[rows, None] * growth
-        basis.close(phi)
-        max_mod = np.max(np.abs(phi), axis=1)
-        scales = np.where(max_mod > 0, 1.0 / np.where(max_mod > 0, max_mod, 1.0), 1.0)
-        return EigenfunctionTrajectory(phi=phi * scales[:, None], scales=scales)
+    def implied_trajectory(self) -> EigenfunctionTrajectory:
+        """Phi = diag(scales) W Psi of the training data, re-lifted as identify lifted it."""
+        return eigenfunction_trajectories(self.model, build_observables(self.series, self.aux))
 
 
 def encode_complex(arr: np.ndarray) -> list:
@@ -126,7 +116,7 @@ def encode_complex(arr: np.ndarray) -> list:
 
 
 def _payload(arr: np.ndarray) -> np.ndarray:
-    """Schema v2 payload array; real, or complex with all-+0.0 imaginary parts, goes as <f8."""
+    """Payload array; real, or complex with all-+0.0 imaginary parts, goes as <f8."""
     arr = np.asarray(arr)
     if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
         arr = arr.real
@@ -144,47 +134,34 @@ def _write_payload(handle, key: str, arr: np.ndarray) -> None:
     handle.write(b'"}')
 
 
-def _decode_array(spec, shape: tuple, dtype) -> np.ndarray:
-    """Schema v2 payload -> array of ``dtype``; ValueError says what is wrong."""
+def _decode_array(spec, shape: tuple | None, dtype) -> np.ndarray:
+    """Payload -> array of ``dtype`` and ``shape``, or of its declared shape for None.
+
+    A ValueError says what is wrong.
+    """
     if not isinstance(spec, dict):
         raise ValueError("expected an object with dtype, shape and data")
     stored = spec["dtype"]
     allowed = PAYLOAD_DTYPES if dtype is complex else ("<f8",)
     if stored not in allowed:
         raise ValueError(f"dtype {stored!r} unsupported (expected one of {allowed})")
-    if tuple(spec["shape"]) != shape:
-        raise ValueError(f"shape {spec['shape']} does not match nPsi (expected {list(shape)})")
+    declared = tuple(spec["shape"])
+    if shape is not None and declared != shape:
+        raise ValueError(f"shape {list(declared)} does not match nPsi (expected {list(shape)})")
     try:
         raw = base64.b64decode(spec["data"], validate=True)
     except binascii.Error as exc:
         raise ValueError(f"data is not valid base64 ({exc})") from None
-    expected = math.prod(shape) * np.dtype(stored).itemsize
+    expected = math.prod(declared) * np.dtype(stored).itemsize
     if len(raw) != expected:
         raise ValueError(f"payload has {len(raw)} bytes, shape and dtype need {expected}")
-    return np.frombuffer(raw, dtype=stored).astype(dtype).reshape(shape)
+    return np.frombuffer(raw, dtype=stored).astype(dtype).reshape(declared)
 
 
-def _decode_v1(value, shape: tuple, dtype) -> np.ndarray:
-    """Schema v1 value (a float list, or a list of [re, im] pairs) -> array."""
-    size = math.prod(shape)
-    if dtype is not complex:
-        flat = np.asarray(value, dtype=float)
-        if flat.shape != (size,):
-            raise ValueError(f"expected {size} numbers, got shape {flat.shape}")
-        return flat.reshape(shape)
-    pairs = np.asarray(value, dtype=float)
-    if pairs.shape != (size, 2):
-        raise ValueError(f"expected {size} [re, im] pairs, got shape {pairs.shape}")
-    # A view keeps every bit, including the sign of -0.0 (re + 1j*im would not).
-    return pairs.view(complex).reshape(shape)
-
-
-def _read_array(doc: dict, key: str, shape: tuple, dtype, version: int) -> np.ndarray:
-    """Decode one model array of either schema and check it is finite."""
-    decode = _decode_array if version == 2 else _decode_v1
-    value = doc[key]
+def _read_array(doc: dict, key: str, shape: tuple | None, dtype) -> np.ndarray:
+    """Decode one model array and check it is finite."""
     try:
-        arr = decode(value, shape, dtype)
+        arr = _decode_array(doc[key], shape, dtype)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from None
     if not np.all(np.isfinite(arr)):
@@ -224,30 +201,25 @@ def file_sha256(path: str) -> str:
 
 
 def save_model(record: ModelRecord, path: str) -> None:
-    """Write a schema v2 model file (see the module docstring).
+    """Write a schema v3 model file (see the module docstring).
 
     The bytes are those of ``json.dumps`` of the whole document, but only
     one array is encoded at a time, a chunk of PAYLOAD_CHUNK_BYTES at once.
     """
-    m = record.model
+    m, aux = record.model, record.aux
     header = {
         "schemaVersion": MODEL_SCHEMA_VERSION,
         "nPsi": m.n_psi,
         "dt": m.dt,
         "ridge": m.ridge,
-        "spectrumKind": record.spectrum_kind,
         "layout": {
-            "names": list(record.names),
-            "hasConstant": record.has_constant,
-            "nPrimary": record.n_primary,
-            "aux": record.aux_enabled,
-            "theta": list(record.theta) if record.theta is not None else None,
+            "names": list(record.series.names),
+            "theta": list(aux.theta) if aux.enabled else None,
         },
         "eigCondition": m.eig_condition,
-        "nSteps": record.n_steps,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
     }
-    arrays = {"K": m.K, "W": m.W, "Lambda": m.lambdas, "scales": m.scales, "phi0": record.phi0}
+    arrays = {"K": m.K, "W": m.W, "Lambda": m.lambdas, "primary": record.series.values}
     with _atomic_file(path) as handle:
         handle.write(json.dumps(header)[:-1].encode("ascii"))
         for key, arr in arrays.items():
@@ -256,46 +228,41 @@ def save_model(record: ModelRecord, path: str) -> None:
 
 
 def load_model(path: str) -> ModelRecord:
-    """Read a schema v1 or v2 model file; FileFormatError if malformed."""
+    """Read a schema v3 model file; FileFormatError if malformed or of another schema."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     version = doc.get("schemaVersion") if isinstance(doc, dict) else None
-    if version not in READABLE_MODEL_SCHEMAS:
+    if version != MODEL_SCHEMA_VERSION:
         raise FileFormatError(
-            f"{path}: schema version {version} unsupported "
-            f"(expected one of {READABLE_MODEL_SCHEMAS})"
+            f"{path}: model schema {version} unsupported (schema {MODEL_SCHEMA_VERSION} "
+            "stores the training data); re-run identify to write it"
         )
     try:
         n = int(doc["nPsi"])
         if n < 1:
             raise ValueError(f"nPsi must be positive, got {n}")
+        dt = float(doc["dt"])
         # R = W^-1 is formed here, once, by the model.
         model = KoopmanModel(
-            K=_read_array(doc, "K", (n, n), complex, version),
-            lambdas=_read_array(doc, "Lambda", (n,), complex, version),
-            W=_read_array(doc, "W", (n, n), complex, version),
-            scales=_read_array(doc, "scales", (n,), float, version),
+            K=_read_array(doc, "K", (n, n), complex),
+            lambdas=_read_array(doc, "Lambda", (n,), complex),
+            W=_read_array(doc, "W", (n, n), complex),
             eig_condition=float(doc["eigCondition"]),
             ridge=float(doc["ridge"]),
-            dt=float(doc["dt"]),
+            dt=dt,
         )
         layout = doc["layout"]
-        theta = layout.get("theta")
-        residual = doc.get("diagnostics", {}).get("oneStepResidual")
+        theta = layout["theta"]
         record = ModelRecord(
             model=model,
-            names=tuple(layout["names"]),
-            has_constant=bool(layout["hasConstant"]),
-            n_primary=int(layout["nPrimary"]),
-            aux_enabled=bool(layout["aux"]),
-            theta=tuple(theta) if theta is not None else None,
-            phi0=_read_array(doc, "phi0", (n,), complex, version),
-            n_steps=int(doc["nSteps"]),
-            spectrum_kind=doc.get("spectrumKind", "discrete"),
-            one_step_residual=float(residual) if residual is not None else None,
+            series=PrimarySeries(
+                names=layout["names"], values=_read_array(doc, "primary", None, float), dt=dt
+            ),
+            aux=AuxiliaryConfig.disabled() if theta is None else AuxiliaryConfig(theta),
+            one_step_residual=float(doc["diagnostics"]["oneStepResidual"]),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field ({exc})") from None

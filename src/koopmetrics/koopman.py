@@ -5,7 +5,10 @@ observables) -> observable matrix with a constant row and kernel-correlation
 auxiliary rows -> operator K from ridge-regularized least squares on the
 one-step shift -> eigenfunction trajectories Phi = diag(scales) @ W @ Psi,
 where W holds the left eigenvectors of K and each Phi row is rescaled so its
-largest modulus over the trajectory is exactly one.
+largest modulus over the trajectory is exactly one. Phi is always taken
+from data: ``build_observables`` is deterministic, so a saved model, which
+keeps its training series and theta, re-lifts the Psi it was fitted on bit
+for bit (``io.ModelRecord.implied_trajectory``).
 
 Auxiliary observables are correlation features against the stored training
 snapshots: feature j of column n is
@@ -160,17 +163,14 @@ class KoopmanModel:
     closed under conjugation (``linalg.conjugate_basis``), as for a real K,
     that inverse is inv(W_re) of the real canonical basis, taken in real
     arithmetic.
-    ``scales`` are the per-row normalization factors of the trajectory the
-    model was saved with (ones from ``decompose``). The model is immutable:
-    a trajectory carries its own scales, and a model with other scales is
-    a ``dataclasses.replace`` copy. ``conjugacy.compare`` never reads K; it
-    stays for ``free_run`` and the model file.
+    The model is immutable; the per-row normalization of an eigenfunction
+    trajectory is the trajectory's own ``scales``. ``conjugacy.compare``
+    never reads K; it stays for ``free_run`` and the model file.
     """
 
     K: np.ndarray
     lambdas: np.ndarray
     W: np.ndarray
-    scales: np.ndarray
     eig_condition: float
     ridge: float
     dt: float
@@ -331,7 +331,7 @@ def decompose(
     W is the inverse of the right-eigenvector matrix, so its rows are left
     eigenvectors and W @ K = diag(lambdas) @ W. Pass ``eig_result`` when
     eig(K) is already at hand. The model keeps eig's R as well, so no later
-    step inverts W. Scales start at ones. For a real K the left-residual
+    step inverts W. For a real K the left-residual
     gate runs in the real canonical basis, where W_re K is a real product.
     """
     arr = as_matrix(K, "K")
@@ -354,7 +354,6 @@ def decompose(
         K=arr,
         lambdas=res.lambdas,
         W=res.W,
-        scales=np.ones(arr.shape[0]),
         eig_condition=res.condition_number,
         ridge=float(ridge),
         dt=float(dt),

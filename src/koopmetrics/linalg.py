@@ -199,22 +199,6 @@ class EigenBasis:
             return np.diag(d)
         return self.scale_rows(d, np.eye(d.shape[0]))
 
-    def heads(self, n: int) -> np.ndarray:
-        """Rows that fix an array closed under conjugation: pairs' first and lone ones, or all n."""
-        if self.pairs is None:
-            return np.arange(n)
-        return np.sort(np.concatenate([self.pairs, self.lone]))
-
-    def close(self, x: np.ndarray) -> None:
-        """Make the rows of x closed under conjugation, in place, from ``heads``.
-
-        Each pair's second row becomes the conjugate of its first, and lone
-        rows keep their real part.
-        """
-        if self.pairs is not None:
-            x[self.pairs + 1] = x[self.pairs].conj()
-            x[self.lone] = x[self.lone].real
-
 
 COMPLEX_BASIS = EigenBasis()
 

@@ -1,14 +1,14 @@
 """End-to-end command-line behavior, including exit codes."""
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from koopmetrics import cli, io, koopman
-from koopmetrics.benchmark import BenchmarkParams, benchmark_system
+from koopmetrics import cli, conjugacy, io, koopman
 from koopmetrics.cli import main
-from koopmetrics.io import ModelRecord, load_model, read_trajectory_csv
+from koopmetrics.io import load_model, read_trajectory_csv
 
 
 def write_geometric_csv(path, ratio=0.5, n=40):
@@ -17,20 +17,31 @@ def write_geometric_csv(path, ratio=0.5, n=40):
     io.write_trajectory_csv(str(path), ["x"], x[None, :], t=t)
 
 
-def save_benchmark_model(path, params, system):
-    model, phi, obs = benchmark_system(params, system)
-    record = ModelRecord(
-        model=model,
-        names=obs.names,
-        has_constant=False,
-        n_primary=3,
-        aux_enabled=False,
-        theta=None,
-        phi0=phi.phi[:, 0].copy(),
-        n_steps=obs.n_steps,
-        spectrum_kind="generator",
-    )
-    io.save_model(record, str(path))
+def write_linear_csv(path, h=np.eye(3), decay=0.9, n=120):
+    """x_{k+1} = A x_k (a damped rotation and a decay), observed as h x."""
+    c, s = 0.98 * np.cos(0.3), 0.98 * np.sin(0.3)
+    a = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, decay]])
+    x = np.empty((3, n))
+    x[:, 0] = (1.0, 0.5, -0.8)
+    for k in range(n - 1):
+        x[:, k + 1] = a @ x[:, k]
+    io.write_trajectory_csv(str(path), ["x1", "x2", "x3"], h @ x, t=np.arange(n) * 0.1)
+
+
+def identify_linear(tmp_path, name, *extra, aux=False, **system):
+    """Model file that identify writes for ``write_linear_csv(**system)``.
+
+    Without aux the fit is exact least squares (ridge 0).
+    """
+    csv, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+    write_linear_csv(csv, **system)
+    flags = [] if aux else ["--no-aux", "--ridge", "0"]
+    assert main(["identify", "--input", str(csv), "--output", str(out), *flags, *extra]) == 0
+    return out
+
+
+# g = H f: identify's models of f and g are conjugate.
+CONJUGATING_H = np.array([[1.0, 0.5, 0.0], [-0.3, 1.2, 0.1], [0.2, 0.0, 0.8]])
 
 
 class TestIdentify:
@@ -82,31 +93,41 @@ class TestIdentify:
 
 
     def test_saved_scales_are_the_trajectory_scales(self, tmp_path, monkeypatch):
-        trajectories = []
+        # The saved model's re-lifted trajectory is identify's own Phi = W Psi,
+        # bit for bit, with and without auxiliary rows.
+        fitted = []
 
-        def recording(model, obs):
-            traj = koopman.eigenfunction_trajectories(model, obs)
-            trajectories.append((model, traj))
-            return traj
+        def recording(name):
+            original = getattr(cli, name)
 
-        monkeypatch.setattr(cli, "eigenfunction_trajectories", recording)
-        csv, out = tmp_path / "geo.csv", tmp_path / "model.json"
-        write_geometric_csv(csv, n=30)
-        assert main(["identify", "--input", str(csv), "--output", str(out)]) == 0
-        (model, traj), = trajectories
-        saved = load_model(str(out))
-        assert saved.model.scales.tobytes() == traj.scales.tobytes()
-        assert saved.phi0.tobytes() == traj.phi[:, 0].tobytes()
-        # The decomposed model itself was not rewritten.
-        np.testing.assert_array_equal(model.scales, np.ones(model.n_psi))
+            def record(*args):
+                fitted.append(original(*args))
+                return fitted[-1]
+
+            monkeypatch.setattr(cli, name, record)
+
+        recording("build_observables")
+        recording("decompose")
+        csv = tmp_path / "lin.csv"
+        write_linear_csv(csv, n=60)
+        for flags, n_psi in (([], 1 + 3 + 40), (["--no-aux"], 1 + 3)):
+            fitted.clear()
+            out = tmp_path / "model.json"
+            assert main(["identify", "--input", str(csv), "--output", str(out),
+                         "--train-steps", "40", *flags]) == 0
+            obs, model = fitted
+            want = koopman.eigenfunction_trajectories(model, obs)
+            got = load_model(str(out)).implied_trajectory()
+            assert got.n_psi == n_psi and got.n_steps == 40
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert got.scales.tobytes() == want.scales.tobytes()
+            assert got.degenerate_rows == want.degenerate_rows
 
 
 class TestCompare:
     def test_report_diagnostics(self, tmp_path):
-        p = BenchmarkParams(steps=300)
-        a, b = tmp_path / "f.json", tmp_path / "g.json"
-        save_benchmark_model(a, p, "f")
-        save_benchmark_model(b, p, "g")
+        a = identify_linear(tmp_path, "f")
+        b = identify_linear(tmp_path, "g", decay=0.7)
         report = tmp_path / "r.json"
         assert main(["compare", "--model-a", str(a), "--model-b", str(b),
                      "--output", str(report)]) == 0
@@ -119,14 +140,13 @@ class TestCompare:
         lf, lg = load_model(str(a)).model.lambdas, load_model(str(b)).model.lambdas
         pi = np.array(doc["permutation"])
         assert diag["assignmentCost"] == pytest.approx(np.sum(np.abs(lf - lg[pi]) ** 2), rel=1e-12)
-        assert diag["lsqRank"] == 3
+        assert diag["lsqRank"] == 4
         assert diag["omegaReplaced"] == {"T_C_r1": 0, "T_C_r2": 0}
-        assert diag["procrustesRank"] == 3
+        assert diag["procrustesRank"] == 4
         assert diag["procrustesSigmaMin"] > 0.0
 
     def test_model_against_itself(self, tmp_path):
-        model_path = tmp_path / "f.json"
-        save_benchmark_model(model_path, BenchmarkParams(steps=300), "f")
+        model_path = identify_linear(tmp_path, "f")
         report_path = tmp_path / "report.json"
         code = main(
             ["compare", "--model-a", str(model_path), "--model-b", str(model_path),
@@ -137,10 +157,8 @@ class TestCompare:
         assert doc["deviations"]["dMax"] < 1e-9
 
     def test_conjugate_pair_models(self, tmp_path):
-        p = BenchmarkParams(steps=400)
-        a, b = tmp_path / "f.json", tmp_path / "g.json"
-        save_benchmark_model(a, p, "f")
-        save_benchmark_model(b, p, "g")
+        a = identify_linear(tmp_path, "f")
+        b = identify_linear(tmp_path, "g", h=CONJUGATING_H)
         report_path = tmp_path / "report.json"
         code = main(
             ["compare", "--model-a", str(a), "--model-b", str(b),
@@ -149,14 +167,13 @@ class TestCompare:
         assert code == 0
         doc = json.load(open(report_path))
         assert doc["deviations"]["dMax"] < 1e-9
-        assert "C_r1" in doc["matrices"]
+        assert set(doc["matrices"]) == {"C_r1", "C_r2", "T_C_r1", "T_C_r2", "T_LSQ"}
+        assert np.asarray(doc["matrices"]["C_r1"]).shape == (16, 2)
         assert doc["systems"]["a"]["sha256"] != doc["systems"]["b"]["sha256"]
 
     def test_reference_scaling_consistent(self, tmp_path):
-        p = BenchmarkParams(alpha=1.2, beta=0.8, steps=300)
-        a, b = tmp_path / "f.json", tmp_path / "g.json"
-        save_benchmark_model(a, BenchmarkParams(steps=300), "f")
-        save_benchmark_model(b, p, "g")
+        a = identify_linear(tmp_path, "f")
+        b = identify_linear(tmp_path, "g", decay=0.7)
         raw_path, ref_path = tmp_path / "raw.json", tmp_path / "ref.json"
         assert main(["compare", "--model-a", str(a), "--model-b", str(b),
                      "--output", str(raw_path)]) == 0
@@ -173,20 +190,11 @@ class TestCompare:
             raw["residuals"]["r2_cr2"] / lam_norm, rel=1e-9
         )
 
-    def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys, rng):
-        from conftest import lifted_system, random_diagonalizable
-
-        k = random_diagonalizable(rng, 2)
-        psi = rng.standard_normal((2, 10)) + 0j
-        model, phi = lifted_system(k, psi)
-        rec = ModelRecord(
-            model=model, names=("a", "b"), has_constant=False, n_primary=2,
-            aux_enabled=False, theta=None, phi0=phi.phi[:, 0].copy(), n_steps=10,
-        )
-        small = tmp_path / "small.json"
-        io.save_model(rec, str(small))
-        big = tmp_path / "big.json"
-        save_benchmark_model(big, BenchmarkParams(steps=100), "f")
+    def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
+        csv, small = tmp_path / "geo.csv", tmp_path / "small.json"
+        write_geometric_csv(csv)
+        assert main(["identify", "--input", str(csv), "--output", str(small), "--no-aux"]) == 0
+        big = identify_linear(tmp_path, "f")
         code = main(["compare", "--model-a", str(small), "--model-b", str(big),
                      "--output", str(tmp_path / "r.json")])
         assert code == 2
@@ -194,8 +202,7 @@ class TestCompare:
 
 
     def test_model_missing_key_is_usage_error(self, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        save_benchmark_model(good, BenchmarkParams(steps=100), "f")
+        good = identify_linear(tmp_path, "good")
         doc = json.loads(good.read_text())
         del doc["K"]
         bad = tmp_path / "bad.json"
@@ -205,6 +212,41 @@ class TestCompare:
         assert code == 2
         err = capsys.readouterr().err
         assert "'K'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("aux", [True, False])
+    def test_report_matches_library_compare(self, tmp_path, aux):
+        # The CLI lifts each model's stored series as the library does. Without
+        # aux the two models differ in T, and the first min(T_a, T_b) snapshots
+        # are compared.
+        a = identify_linear(tmp_path, "a", aux=aux, n=50)
+        b = identify_linear(tmp_path, "b", "--train-steps", "50" if aux else "45",
+                            aux=aux, decay=0.7, n=50)
+        report_path = tmp_path / "r.json"
+        assert main(["compare", "--model-a", str(a), "--model-b", str(b),
+                     "--reference", "a", "--output", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+
+        rec_a, rec_b = load_model(str(a)), load_model(str(b))
+        horizon = min(rec_a.series.n_steps, rec_b.series.n_steps)
+        assert horizon == (50 if aux else 45)
+        phi_a, phi_b = (
+            replace(phi, phi=phi.phi[:, :horizon])
+            for phi in (
+                koopman.eigenfunction_trajectories(
+                    rec.model, koopman.build_observables(rec.series, rec.aux)
+                )
+                for rec in (rec_a, rec_b)
+            )
+        )
+        report = conjugacy.compare(rec_a.model, phi_a, rec_b.model, phi_b, "f")
+        c, d = report.corners, report.deviations
+        assert doc["deviations"] == {"dMin": d.d_min, "dAvg": d.d_avg, "dMax": d.d_max}
+        assert doc["residuals"] == {"r1_cr1": c.r1_at_cr1, "r2_cr1": c.r2_at_cr1,
+                                    "r1_cr2": c.r1_at_cr2, "r2_cr2": c.r2_at_cr2}
+        assert doc["psiResiduals"] == {
+            name: {"operator": op, "trajectory": traj}
+            for name, (op, traj) in report.psi_residuals.items()
+        }
 
     def test_singular_lsq_operator_residual_is_null(self, tmp_path):
         # Hopping models have n_psi = 1 + 4 + T > T snapshots, so Psi_f is
@@ -222,16 +264,15 @@ class TestCompare:
         psi = json.loads(text)["psiResiduals"]
         assert psi["T_LSQ"]["operator"] is None
         assert '"operator": null' in text
-        assert np.isfinite(psi["T_LSQ"]["trajectory"])
+        # Psi_f has rank T = 40: T_LSQ fits the trajectory exactly.
+        assert psi["T_LSQ"]["trajectory"] == 0.0
         for name in ("T_C_r1", "T_C_r2"):
             assert np.isfinite(psi[name]["operator"])
         assert json.loads(text)["diagnostics"]["lsqRank"] < load_model(str(model)).model.n_psi
 
     def test_full_rank_lsq_operator_residual_is_a_number(self, tmp_path):
-        p = BenchmarkParams(steps=300)
-        a, b = tmp_path / "f.json", tmp_path / "g.json"
-        save_benchmark_model(a, p, "f")
-        save_benchmark_model(b, p, "g")
+        a = identify_linear(tmp_path, "f")
+        b = identify_linear(tmp_path, "g", h=CONJUGATING_H)
         report = tmp_path / "r.json"
         assert main(["compare", "--model-a", str(a), "--model-b", str(b),
                      "--output", str(report)]) == 0
@@ -383,13 +424,40 @@ class TestExitCodes:
         assert err.startswith("error: ") and "uniformly" in err
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("flag", [["--steps", "2"], ["--dt", "0"], ["--set", "bogus=1"]])
+    @pytest.mark.parametrize(
+        "flag", [["--steps", "2"], ["--dt", "0"], ["--set", "bogus=1"], ["--bins", "1"]]
+    )
     def test_bad_hopper_settings_are_usage_errors(self, tmp_path, capsys, flag):
         code = main(["hopping", "--actuator", "nlm", "--output-prefix", str(tmp_path / "h")]
                     + flag)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identify", "--ridge", "-1"],
+            ["identify", "--theta", "0,1,1"],
+            ["identify", "--fit-theta", "--train-steps", "20", "--theta-grid", "0,1"],
+            ["identify", "--dt", "-1"],
+            ["benchmark-sweep", "--dt", "0"],
+            ["benchmark-sweep", "--steps", "1"],
+        ],
+        ids=["ridge", "theta", "theta-grid", "identify-dt", "sweep-dt", "sweep-steps"],
+    )
+    def test_out_of_range_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        csv, out = tmp_path / "lin.csv", tmp_path / "out"
+        write_linear_csv(csv, n=40)
+        io_flags = ["--output", str(out)]
+        if argv[0] == "identify":
+            io_flags += ["--input", str(csv)]
+        code = main(argv + io_flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[-2].lstrip("-") in err
+        assert not out.exists()
 
     def test_empty_sweep_grid_is_usage_error(self, tmp_path, capsys):
         code = main(

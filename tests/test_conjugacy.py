@@ -449,7 +449,6 @@ class TestCompare:
             K=model_b.K,
             lambdas=model_b.lambdas[perm],
             W=model_b.W[perm],
-            scales=model_b.scales[perm],
             eig_condition=model_b.eig_condition,
             ridge=model_b.ridge,
             dt=model_b.dt,
@@ -551,6 +550,25 @@ class TestPsiSpace:
         t = recover_t(np.eye(4), model, model, psi, psi)
         np.testing.assert_allclose(t, np.eye(4), atol=1e-8)
 
+    @pytest.mark.parametrize("n_steps", [6, 30])
+    def test_lsq_trajectory_residual(self, rng, n_steps):
+        # n = 12: at rank T (T < n) pinv(Psi_f) Psi_f = I_T and the residual
+        # is exactly 0; at rank n < T it is the least squares misfit.
+        n = 12
+        model_f, phi_f = random_system(rng, n, n_steps)
+        model_g, phi_g = random_system(rng, n, n_steps)
+        report = compare(model_f, phi_f, model_g, phi_g)
+        got = report.psi_residuals["T_LSQ"][1]
+        assert report.diagnostics.lsq_rank == min(n, n_steps)
+        if n_steps < n:
+            assert got == 0.0
+            return
+        psi_f = reconstruct_observables(model_f, phi_f)
+        psi_g = reconstruct_observables(model_g, phi_g)
+        want = np.linalg.norm(psi_g - psi_g @ pinv(psi_f) @ psi_f)
+        assert want > 0.1 * np.linalg.norm(psi_g)
+        assert got == pytest.approx(want, rel=1e-8)
+
     @pytest.mark.parametrize("n_steps", [25, 80])
     def test_transforms_match_pseudoinverse_formula(self, rng, n_steps):
         # n = 40 observables: T < n makes T_LSQ rank-deficient, T > n does not.
@@ -642,7 +660,7 @@ def system_with_spectrum(rng, lambdas, n_steps, real, order):
     r, lambdas = r[:, order], lambdas[order]
     w = np.linalg.inv(r)
     model = KoopmanModel(
-        K=(r * lambdas) @ w, lambdas=lambdas, W=w, scales=np.ones(n),
+        K=(r * lambdas) @ w, lambdas=lambdas, W=w,
         eig_condition=float(np.linalg.norm(r) * np.linalg.norm(w)), ridge=0.0, dt=0.1, R=r,
     )
     return model, eigenfunction_trajectories(model, raw_observables(psi))

@@ -20,7 +20,7 @@ from koopmetrics.io import (
     write_trajectory_csv,
 )
 
-from koopmetrics.koopman import decompose
+from koopmetrics.koopman import AuxiliaryConfig, PrimarySeries, decompose
 from koopmetrics.linalg import conjugate_basis
 
 from conftest import lifted_system, random_diagonalizable, real_system
@@ -33,7 +33,8 @@ def encode_complex_v1(arr):
 
 
 def save_model_v1(record, path):
-    """The schema v1 writer, kept verbatim as the reference for reading v1 files."""
+    """A schema v1 document of the record's model, laid out as the v1 writer
+    wrote it: complex arrays as [re, im] pairs, no training data."""
     m = record.model
     n = m.n_psi
     doc = {
@@ -41,27 +42,27 @@ def save_model_v1(record, path):
         "nPsi": n,
         "dt": m.dt,
         "ridge": m.ridge,
-        "spectrumKind": record.spectrum_kind,
+        "spectrumKind": "discrete",
         "layout": {
-            "names": list(record.names),
-            "hasConstant": record.has_constant,
-            "nPrimary": record.n_primary,
-            "aux": record.aux_enabled,
-            "theta": list(record.theta) if record.theta is not None else None,
+            "names": list(record.series.names),
+            "hasConstant": True,
+            "nPrimary": record.series.n_primary,
+            "aux": False,
+            "theta": None,
         },
         "K": encode_complex_v1(m.K),
         "W": encode_complex_v1(m.W),
         "Lambda": encode_complex_v1(m.lambdas),
-        "scales": [float(s) for s in m.scales],
+        "scales": [1.0] * n,
         "eigCondition": m.eig_condition,
-        "phi0": encode_complex_v1(record.phi0),
-        "nSteps": record.n_steps,
+        "phi0": encode_complex_v1(m.W[:, 0]),
+        "nSteps": record.series.n_steps,
     }
     io.atomic_write_text(path, json.dumps(doc))
 
 
 def encode_array_whole(arr):
-    """A schema v2 payload encoded in one piece."""
+    """A payload encoded in one piece."""
     arr = np.asarray(arr)
     if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
         arr = arr.real
@@ -71,78 +72,89 @@ def encode_array_whole(arr):
 
 
 def model_file_text(record):
-    """The schema v2 document as one json.dumps, the text save_model streams."""
-    m = record.model
+    """The schema v3 document as one json.dumps, the text save_model streams."""
+    m, aux = record.model, record.aux
     return json.dumps({
-        "schemaVersion": 2,
+        "schemaVersion": 3,
         "nPsi": m.n_psi,
         "dt": m.dt,
         "ridge": m.ridge,
-        "spectrumKind": record.spectrum_kind,
         "layout": {
-            "names": list(record.names),
-            "hasConstant": record.has_constant,
-            "nPrimary": record.n_primary,
-            "aux": record.aux_enabled,
-            "theta": list(record.theta) if record.theta is not None else None,
+            "names": list(record.series.names),
+            "theta": list(aux.theta) if aux.enabled else None,
         },
         "eigCondition": m.eig_condition,
-        "nSteps": record.n_steps,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
         "K": encode_array_whole(m.K),
         "W": encode_array_whole(m.W),
         "Lambda": encode_array_whole(m.lambdas),
-        "scales": encode_array_whole(m.scales),
-        "phi0": encode_array_whole(record.phi0),
+        "primary": encode_array_whole(record.series.values),
     })
 
 
-def real_record(rng, n, n_steps=15):
-    """Record of a real K and real observables: closed under conjugation."""
-    model, phi = real_system(rng, n, n_steps)
-    return ModelRecord(
-        model=dataclasses.replace(model, scales=phi.scales),
-        names=tuple(f"g{i}" for i in range(n)),
-        has_constant=False,
-        n_primary=n,
-        aux_enabled=False,
-        theta=None,
-        phi0=phi.phi[:, 0].copy(),
-        n_steps=n_steps,
-        one_step_residual=None,
+def model_file_v2_text(record):
+    """A schema v2 document: the v3 arrays without training data, plus scales and phi0."""
+    doc = json.loads(model_file_text(record))
+    del doc["primary"]
+    doc.update(schemaVersion=2, nSteps=record.series.n_steps, spectrumKind="discrete",
+               scales=encode_array_whole(np.ones(record.model.n_psi)),
+               phi0=encode_array_whole(record.model.W[:, 0]))
+    return json.dumps(doc)
+
+
+def series_for(rng, n_psi, n_steps=15, dt=0.1):
+    """A training series that lifts, without auxiliaries, to n_psi rows."""
+    return PrimarySeries(
+        names=tuple(f"g{i}" for i in range(n_psi - 1)),
+        values=rng.standard_normal((n_psi - 1, n_steps)),
+        dt=dt,
     )
+
+
+def real_record(rng, n, n_steps=15):
+    """Record of a real K (closed under conjugation) and a real series."""
+    model, _ = real_system(rng, n, n_steps)
+    return ModelRecord(model=model, series=series_for(rng, n, n_steps),
+                       aux=AuxiliaryConfig.disabled(), one_step_residual=0.5)
 
 
 @pytest.fixture
 def record(rng):
     k = random_diagonalizable(rng, 4)
     psi = rng.standard_normal((4, 15)) + 1j * rng.standard_normal((4, 15))
-    model, phi = lifted_system(k, psi)
+    model, _ = lifted_system(k, psi)
     return ModelRecord(
         model=model,
-        names=("a", "b", "c", "d"),
-        has_constant=False,
-        n_primary=4,
-        aux_enabled=False,
-        theta=None,
-        phi0=phi.phi[:, 0].copy(),
-        n_steps=15,
+        series=PrimarySeries(names=("a", "b", "c"), values=rng.standard_normal((3, 15)), dt=0.1),
+        aux=AuxiliaryConfig.disabled(),
         one_step_residual=1.25e-7,
     )
+
+
+@pytest.fixture
+def aux_record(rng):
+    """A record with auxiliary rows: n_psi = 1 + 2 primary + 6 snapshots."""
+    k = random_diagonalizable(rng, 9)
+    model = decompose(k, dt=0.25)
+    series = PrimarySeries(names=("x", "v"), values=rng.standard_normal((2, 6)), dt=0.25)
+    return ModelRecord(model=model, series=series, aux=AuxiliaryConfig((0.5, 2.0)),
+                       one_step_residual=3e-9)
 
 
 @pytest.fixture
 def signed_zero_record(record):
     """The record with -0.0 in real and imaginary parts of every complex array."""
     m = record.model
-    k, w, lam, phi0 = m.K.copy(), m.W.copy(), m.lambdas.copy(), record.phi0.copy()
+    k, w, lam = m.K.copy(), m.W.copy(), m.lambdas.copy()
     k[0, 0] = complex(-0.0, 0.5)
     k[1, 2] = complex(0.25, -0.0)
     w[3, 1] = complex(-0.0, -0.0)
     lam[2] = complex(lam[2].real, -0.0)
-    phi0[0] = complex(-0.0, phi0[0].imag)
+    values = record.series.values.copy()
+    values[1, 4] = -0.0
     model = dataclasses.replace(m, K=k, W=w, lambdas=lam)
-    return dataclasses.replace(record, model=model, phi0=phi0, one_step_residual=None)
+    series = dataclasses.replace(record.series, values=values)
+    return dataclasses.replace(record, model=model, series=series)
 
 
 def real_k(record):
@@ -156,16 +168,16 @@ def assert_bit_identical(loaded, saved):
         (loaded.model.K, saved.model.K),
         (loaded.model.W, saved.model.W),
         (loaded.model.lambdas, saved.model.lambdas),
-        (loaded.model.scales, saved.model.scales),
-        (loaded.phi0, saved.phi0),
+        (loaded.series.values, saved.series.values),
     ]
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     for field in ("dt", "ridge", "eig_condition"):
         assert getattr(loaded.model, field) == getattr(saved.model, field)
-    assert loaded.names == saved.names
-    assert loaded.n_steps == saved.n_steps
+    assert loaded.series.names == saved.series.names
+    assert loaded.series.dt == saved.series.dt
+    assert loaded.aux == saved.aux
     assert loaded.one_step_residual == saved.one_step_residual
 
 
@@ -175,15 +187,16 @@ def corrupt(path, edit):
     open(path, "w").write(json.dumps(doc))
 
 
-def payload(doc, key, dtype, values):
+def payload(doc, key, dtype, values, shape=None):
     doc[key] = {
         "dtype": dtype,
-        "shape": doc[key]["shape"],
+        "shape": doc[key]["shape"] if shape is None else shape,
         "data": base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode(),
     }
 
 
 V1_EDITS = {
+    "intact": lambda doc: None,
     "no-K": lambda doc: doc.pop("K"),
     "no-names": lambda doc: doc["layout"].pop("names"),
     "short-W": lambda doc: doc["W"].pop(),
@@ -194,6 +207,7 @@ V1_EDITS = {
     "inf": lambda doc: doc["phi0"][1].__setitem__(1, float("inf")),
 }
 
+# Edits of the base64 payload format, which schema v3 keeps from v2.
 V2_EDITS = {
     "no-K": lambda doc: doc.pop("K"),
     "no-data": lambda doc: doc["W"].pop("data"),
@@ -201,19 +215,31 @@ V2_EDITS = {
     "bad-base64": lambda doc: doc["W"].update(data=doc["W"]["data"][:-4] + "!!!!"),
     "unsupported-dtype": lambda doc: payload(doc, "W", "<f4", np.ones(16)),
     "big-endian": lambda doc: payload(doc, "W", ">c16", np.ones(16)),
-    "complex-scales": lambda doc: payload(doc, "scales", "<c16", np.ones(4)),
+    "complex-primary": lambda doc: payload(doc, "primary", "<c16", np.ones(45)),
     "byte-count": lambda doc: payload(doc, "Lambda", "<c16", np.ones(3)),
     "shape": lambda doc: doc["K"].update(shape=[4, 3]),
-    "nan": lambda doc: payload(doc, "phi0", "<c16", [1, 2, complex(0, np.nan), 4]),
-    "inf-scales": lambda doc: payload(doc, "scales", "<f8", [1, np.inf, 1, 1]),
+    "nan": lambda doc: payload(doc, "Lambda", "<c16", [1, 2, complex(0, np.nan), 4]),
+    "inf-primary": lambda doc: payload(doc, "primary", "<f8", np.full(45, np.inf)),
     "zero-nPsi": lambda doc: doc.update(nPsi=0),
     "singular-W": lambda doc: payload(doc, "W", "<c16", np.zeros(16)),
     "subnormal-W": lambda doc: payload(doc, "W", "<c16", 1e-310 * np.eye(4).ravel()),
 }
 
+# Schema v3 files whose training data does not lift to nPsi rows.
+LAYOUT_EDITS = {
+    "primary-rows": lambda doc: payload(doc, "primary", "<f8", np.ones(30), shape=[2, 15]),
+    "primary-1d": lambda doc: payload(doc, "primary", "<f8", np.ones(45), shape=[45]),
+    "one-snapshot": lambda doc: payload(doc, "primary", "<f8", np.ones(3), shape=[3, 1]),
+    "names": lambda doc: doc["layout"].update(names=["a", "b"]),
+    "theta-length": lambda doc: doc["layout"].update(theta=[1.0, 1.0]),
+    "theta-sign": lambda doc: doc["layout"].update(theta=[1.0, -1.0, 1.0]),
+    "no-primary": lambda doc: doc.pop("primary"),
+    "no-theta": lambda doc: doc["layout"].pop("theta"),
+}
 
-def assert_rejected(path, tmp_path, capsys):
-    """load_model raises FileFormatError; compare exits 2 with a one-line message."""
+
+def assert_rejected(path, tmp_path, capsys) -> str:
+    """load_model raises FileFormatError; compare exits 2 with a one-line message, returned."""
     with pytest.raises(FileFormatError):
         load_model(path)
     code = main(["compare", "--model-a", path, "--model-b", path,
@@ -222,6 +248,7 @@ def assert_rejected(path, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 class TestModelFile:
@@ -230,11 +257,20 @@ class TestModelFile:
         save_model(record, path)
         assert_bit_identical(load_model(path), record)
         doc = json.load(open(path))
-        assert doc["schemaVersion"] == 2
-        assert [doc[key]["dtype"] for key in ("K", "W", "Lambda", "scales", "phi0")] == [
-            "<c16", "<c16", "<c16", "<f8", "<c16"
+        assert doc["schemaVersion"] == 3
+        assert [doc[key]["dtype"] for key in ("K", "W", "Lambda", "primary")] == [
+            "<c16", "<c16", "<c16", "<f8"
         ]
-        assert doc["W"]["shape"] == [4, 4] and doc["phi0"]["shape"] == [4]
+        assert doc["W"]["shape"] == [4, 4] and doc["primary"]["shape"] == [3, 15]
+        assert doc["layout"] == {"names": ["a", "b", "c"], "theta": None}
+
+    def test_aux_record_round_trip(self, aux_record, tmp_path):
+        path = str(tmp_path / "model.json")
+        save_model(aux_record, path)
+        loaded = load_model(path)
+        assert_bit_identical(loaded, aux_record)
+        assert loaded.aux == AuxiliaryConfig((0.5, 2.0))
+        assert json.load(open(path))["layout"]["theta"] == [0.5, 2.0]
 
     def test_real_k_stored_as_f8(self, record, tmp_path):
         record = real_k(record)
@@ -260,13 +296,15 @@ class TestModelFile:
             save_model(load_model(p2), p3)
             assert open(p1, "rb").read() == open(p2, "rb").read() == open(p3, "rb").read()
 
-    def test_v1_file_loads_bit_exactly(self, signed_zero_record, tmp_path):
-        v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
-        save_model_v1(signed_zero_record, v1)
-        loaded = load_model(v1)
-        assert_bit_identical(loaded, signed_zero_record)
-        save_model(loaded, v2)
-        assert_bit_identical(load_model(v2), signed_zero_record)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_schema_is_rejected_with_one_line(self, record, tmp_path, capsys, version):
+        path = str(tmp_path / "old.json")
+        if version == 1:
+            save_model_v1(record, path)
+        else:
+            io.atomic_write_text(path, model_file_v2_text(record))
+        err = assert_rejected(path, tmp_path, capsys)
+        assert f"model schema {version} unsupported" in err and "re-run identify" in err
 
     def test_diagnostics_and_unknown_keys(self, record, tmp_path):
         path = str(tmp_path / "model.json")
@@ -306,10 +344,11 @@ class TestModelFile:
 
     @pytest.mark.parametrize("edit", V1_EDITS.values(), ids=V1_EDITS.keys())
     def test_malformed_model_is_a_format_error(self, record, tmp_path, capsys, edit):
+        # A v1 file, intact or malformed, is rejected by its schema number.
         path = str(tmp_path / "model.json")
         save_model_v1(record, path)
         corrupt(path, edit)
-        assert_rejected(path, tmp_path, capsys)
+        assert "model schema 1 unsupported" in assert_rejected(path, tmp_path, capsys)
 
     @pytest.mark.parametrize("edit", V2_EDITS.values(), ids=V2_EDITS.keys())
     def test_malformed_v2_model_is_a_format_error(self, record, tmp_path, capsys, edit):
@@ -318,8 +357,26 @@ class TestModelFile:
         corrupt(path, edit)
         assert_rejected(path, tmp_path, capsys)
 
+    @pytest.mark.parametrize("edit", LAYOUT_EDITS.values(), ids=LAYOUT_EDITS.keys())
+    def test_layout_that_does_not_lift_to_npsi_is_a_format_error(
+        self, record, tmp_path, capsys, edit
+    ):
+        # The record lifts its 3 primary rows to nPsi = 4; with aux, 1 + 3 + 15 = 19.
+        path = str(tmp_path / "model.json")
+        save_model(record, path)
+        corrupt(path, edit)
+        assert "malformed" in assert_rejected(path, tmp_path, capsys)
+
+    def test_aux_layout_must_match_npsi(self, aux_record, tmp_path, capsys):
+        path = str(tmp_path / "model.json")
+        save_model(aux_record, path)
+        corrupt(path, lambda doc: doc["layout"].update(theta=None))
+        assert "nPsi 9 != 1 constant + 2 primary + 0 auxiliary" in assert_rejected(
+            path, tmp_path, capsys
+        )
+
     def test_encode_complex_matches_pair_lists(self, record):
-        for arr in (record.model.W, real_k(record).model.K, record.phi0):
+        for arr in (record.model.W, real_k(record).model.K, record.model.lambdas):
             assert json.dumps(io.encode_complex(arr)) == json.dumps(encode_complex_v1(arr))
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -340,36 +397,19 @@ class TestModelFile:
         assert phi.phi.shape == (4, 15)
         np.testing.assert_allclose(np.max(np.abs(phi.phi), axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["discrete", "generator"])
-    def test_implied_trajectory_of_a_complex_model_row_by_row(self, record, kind):
-        # Not closed under conjugation: every row is phi0_i growth_i^n as before.
-        record = dataclasses.replace(record, spectrum_kind=kind)
-        lam, steps = record.model.lambdas, np.arange(record.n_steps)
-        if kind == "generator":
-            growth = np.exp(np.outer(lam * record.model.dt, steps))
-        else:
-            growth = lam[:, None] ** steps[None, :]
-        want = record.phi0[:, None] * growth
-        want_scales = 1.0 / np.max(np.abs(want), axis=1)
-        got = record.implied_trajectory()
-        assert got.phi.tobytes() == (want * want_scales[:, None]).tobytes()
-        assert got.scales.tobytes() == want_scales.tobytes()
-
     def test_implied_trajectory_of_a_real_model_is_closed(self):
-        # n_steps > 100: numpy's complex power leaves negative real eigenvalues
-        # a rounding-level imaginary part there.
+        # The re-lifted Psi is real, so Phi's paired rows are exact conjugates
+        # and its rows of real eigenvalues are real.
         record = real_record(np.random.default_rng(3), 9, n_steps=150)
         lam = record.model.lambdas
-        assert np.any((lam.imag == 0) & (lam.real < 0))
-        basis = conjugate_basis(lam, record.model.W, record.phi0)
-        assert basis.is_real and basis.pairs.size
         phi = record.implied_trajectory()
-        j = basis.pairs
-        np.testing.assert_array_equal(phi.phi[j + 1], phi.phi[j].conj())
+        basis = conjugate_basis(lam, record.model.W, phi.phi)
+        assert basis.is_real and basis.pairs.size
+        np.testing.assert_array_equal(phi.phi[basis.pairs + 1], phi.phi[basis.pairs].conj())
         assert not np.any(phi.phi[basis.lone].imag)
-        want = record.phi0[:, None] * lam[:, None] ** np.arange(150)
-        want /= np.max(np.abs(want), axis=1, keepdims=True)
-        assert np.abs(phi.phi - want).max() <= 150 * 10 * np.finfo(float).eps
+        psi = np.vstack([np.ones((1, 150)), record.series.values])
+        want = record.model.W @ psi * phi.scales[:, None]
+        assert np.abs(phi.phi - want).max() <= 9 * 10 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
     def test_file_is_one_json_dumps(self, record, tmp_path, kind):
@@ -386,8 +426,8 @@ class TestModelFile:
         # and the chunks' encodings join to the payload's.
         n = 200
         model = decompose(rng.standard_normal((n, n)), dt=0.1)
-        rec = ModelRecord(model=model, names=("a",), has_constant=False, n_primary=1,
-                          aux_enabled=False, theta=None, phi0=model.W[:, 0].copy(), n_steps=5)
+        rec = ModelRecord(model=model, series=series_for(rng, n, 5),
+                          aux=AuxiliaryConfig.disabled(), one_step_residual=0.5)
         encoded_w = len(encode_array_whole(model.W)["data"])
         assert io.PAYLOAD_CHUNK_BYTES < model.W.nbytes
         tracemalloc.start()
@@ -398,6 +438,15 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < encoded_w
         assert (tmp_path / "model.json").read_bytes() == model_file_text(rec).encode("ascii")
+
+    def test_record_must_lift_to_its_model(self, record, aux_record):
+        series = PrimarySeries(("a", "b"), record.series.values[:2], 0.1)
+        with pytest.raises(ValueError, match="nPsi 4 != 1 constant \\+ 2 primary"):
+            dataclasses.replace(record, series=series)
+        with pytest.raises(ValueError, match="theta values"):
+            dataclasses.replace(aux_record, aux=AuxiliaryConfig((1.0,)))
+        with pytest.raises(ValueError, match="dt"):
+            dataclasses.replace(record, series=dataclasses.replace(record.series, dt=0.2))
 
 
 class TestReportFile:

@@ -140,7 +140,6 @@ class TestDecompose:
         model = decompose(np.diag([0.9, 0.8]), dt=0.1)
         assert sorted(np.round(model.lambdas.real, 12)) == [0.8, 0.9]
         np.testing.assert_allclose(np.abs(model.W), np.eye(2), atol=1e-12)
-        np.testing.assert_array_equal(model.scales, np.ones(2))
 
     def test_benchmark_propagator_spectrum(self):
         p = BenchmarkParams()
@@ -163,7 +162,7 @@ class TestDecompose:
         w = random_well_conditioned(rng, 4)
         model = KoopmanModel(
             K=np.eye(4, dtype=complex), lambdas=np.ones(4, dtype=complex), W=w,
-            scales=np.ones(4), eig_condition=1.0, ridge=0.0, dt=0.1,
+            eig_condition=1.0, ridge=0.0, dt=0.1,
         )
         np.testing.assert_array_equal(model.R, np.linalg.inv(w))
         with pytest.raises(ValueError, match="singular"):
@@ -228,7 +227,6 @@ class TestEigenfunctions:
             K=np.eye(1, dtype=complex),
             lambdas=np.ones(1, dtype=complex),
             W=np.eye(1, dtype=complex),
-            scales=np.ones(1),
             eig_condition=1.0,
             ridge=0.0,
             dt=0.1,
@@ -244,11 +242,10 @@ class TestEigenfunctions:
         np.testing.assert_allclose(
             np.max(np.abs(traj.phi), axis=1), np.ones(4), atol=1e-12
         )
-        # The scales travel with the trajectory; the model keeps its own.
+        # The scales travel with the trajectory.
         np.testing.assert_array_equal(
             traj.scales, 1.0 / np.max(np.abs(model.W @ psi), axis=1)
         )
-        np.testing.assert_array_equal(model.scales, np.ones(4))
 
     def test_real_data_gives_conjugate_rows(self, rng):
         vals = rng.standard_normal((2, 40))
@@ -273,7 +270,7 @@ class TestEigenfunctions:
             assert getattr(model, name) is value
             np.testing.assert_array_equal(np.asarray(value), snapshot[name])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.scales = np.full(5, 2.0)
+            model.W = np.eye(5)
 
     def test_degenerate_row_flagged(self):
         psi = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
@@ -281,7 +278,6 @@ class TestEigenfunctions:
             K=np.eye(2, dtype=complex),
             lambdas=np.ones(2, dtype=complex),
             W=np.eye(2, dtype=complex),
-            scales=np.ones(2),
             eig_condition=1.0,
             ridge=0.0,
             dt=0.1,
@@ -316,7 +312,6 @@ class TestPredict:
             K=2.0 * np.eye(2, dtype=complex),
             lambdas=2.0 * np.ones(2, dtype=complex),
             W=np.eye(2, dtype=complex),
-            scales=np.ones(2),
             eig_condition=1.0,
             ridge=0.0,
             dt=0.1,
