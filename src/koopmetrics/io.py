@@ -1,28 +1,22 @@
-"""File formats: JSON model/report files and CSV trajectories.
+"""File formats: ``.npz`` model archives, JSON reports and CSV trajectories.
 
 All writes are atomic (temp file in the target directory, then rename), so a
-crashed run never leaves a truncated artifact. A model file is streamed:
-the header, then one array payload at a time, base64-encoded in chunks.
+crashed run never leaves a truncated artifact.
 
-Model files (schema v3) are a JSON header of scalars and layout plus four
-arrays, ``K``, ``W``, ``Lambda`` and ``primary``, each stored as
-``{"dtype", "shape", "data"}``: ``data`` is the base64 of the array's
-little-endian C-order bytes and ``dtype`` is ``<c16`` (complex128) or
-``<f8`` (float64). A real array, such as the K identified from real data,
-and a complex array whose imaginary parts are all +0.0 are stored as
-``<f8``. ``primary`` is the training series identify fitted, one row per
-named observable (``layout.names``) and one column per snapshot, always
-``<f8``; ``layout.theta`` holds the correlation widths, or null without
-auxiliary observables. Loading returns complex128 (float64 for
-``primary``) arrays bit for bit, and the header's floats go through JSON's
-shortest round-trip repr, which is exact too. The header's
-``diagnostics`` object holds identification health numbers
-(``oneStepResidual``). R = W^-1 is not stored: loading inverts W once (in
-real arithmetic when W is closed under conjugation, see
-``KoopmanModel``), and a W whose inverse fails or is not finite makes the
-file malformed, as does a layout that does not lift to ``nPsi`` rows.
-Schema v1 and v2 files store no training data and are rejected; every
-malformed file raises FileFormatError.
+A model file (schema v4) is an uncompressed ``np.savez`` archive at exactly
+the path given. Member ``header`` is a 0-d str array holding a JSON object:
+``nPsi``, ``dt``, ``ridge``, ``eigCondition``, ``layout`` (the observable
+``names`` and the correlation widths ``theta``, or null without auxiliary
+rows) and ``diagnostics`` (``oneStepResidual``). ``K``, ``W``, ``Lambda``
+and ``primary`` (the training series, one row per name and one column per
+snapshot) keep their dtype, ``<f8`` or ``<c16`` (only ``<f8`` for
+``primary``), and load back bit for bit; identify's K of real data is
+float64. Each member's npy header is checked (dtype, shape against
+``nPsi``, data bytes against the member's size) before its data is read.
+R = W^-1 is not stored: loading inverts W once, see ``KoopmanModel``. A W
+without a finite inverse, a non-finite entry, a layout that does not lift
+to ``nPsi`` rows and the JSON files of schemas v1 to v3 raise
+FileFormatError.
 
 The stored series and theta rebuild the training observables Psi bit for
 bit through ``build_observables``, so the eigenfunction trajectory of a
@@ -30,14 +24,14 @@ saved model is computed as the library computes it, Phi = W Psi.
 """
 from __future__ import annotations
 
-import base64
-import binascii
 import csv
 import hashlib
 import json
 import math
 import os
+import re
 import secrets
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -52,16 +46,12 @@ from .koopman import (
     eigenfunction_trajectories,
 )
 
-MODEL_SCHEMA_VERSION = 3
+MODEL_SCHEMA_VERSION = 4
 REPORT_SCHEMA_VERSION = 1
 
-# Array payload dtypes: explicit little-endian, so files do not depend on
-# the byte order of the machine that wrote them.
-PAYLOAD_DTYPES = ("<f8", "<c16")
-
-# Raw bytes base64-encoded per write by save_model: a multiple of 3, so the
-# chunks' encodings concatenate to the encoding of the whole payload.
-PAYLOAD_CHUNK_BYTES = 3 << 16
+# Array member dtypes, a regular expression over numpy's dtype strings:
+# explicit little-endian, so files do not depend on the writer's byte order.
+ARRAY_DTYPES = "<f8|<c16"
 
 # Each step of a uniform time column read back from text carries the rounding
 # of its two end points and of the subtraction, up to about 1.5 eps max|t|
@@ -115,56 +105,32 @@ def encode_complex(arr: np.ndarray) -> list:
     return np.column_stack([flat.real, flat.imag]).tolist()
 
 
-def _payload(arr: np.ndarray) -> np.ndarray:
-    """Payload array; real, or complex with all-+0.0 imaginary parts, goes as <f8."""
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
-        arr = arr.real
-    return np.ascontiguousarray(arr, dtype="<c16" if np.iscomplexobj(arr) else "<f8")
+def _read_member(archive: zipfile.ZipFile, key: str, shape: tuple | None, dtypes: str):
+    """Member ``key``; its npy header must declare a dtype matching ``dtypes``,
+    ``shape`` unless that is None, and the data bytes the member holds.
 
-
-def _write_payload(handle, key: str, arr: np.ndarray) -> None:
-    """Write ``, "key": {"dtype", "shape", "data"}`` as json.dumps would, in chunks."""
-    data = _payload(arr)
-    spec = json.dumps({"dtype": data.dtype.str, "shape": list(data.shape)})
-    handle.write(f', {json.dumps(key)}: {spec[:-1]}, "data": "'.encode("ascii"))
-    raw = memoryview(data).cast("B")
-    for start in range(0, len(raw), PAYLOAD_CHUNK_BYTES):
-        handle.write(base64.b64encode(raw[start : start + PAYLOAD_CHUNK_BYTES]))
-    handle.write(b'"}')
-
-
-def _decode_array(spec, shape: tuple | None, dtype) -> np.ndarray:
-    """Payload -> array of ``dtype`` and ``shape``, or of its declared shape for None.
-
-    A ValueError says what is wrong.
+    A KeyError names a missing member, a ValueError says what else is wrong.
     """
-    if not isinstance(spec, dict):
-        raise ValueError("expected an object with dtype, shape and data")
-    stored = spec["dtype"]
-    allowed = PAYLOAD_DTYPES if dtype is complex else ("<f8",)
-    if stored not in allowed:
-        raise ValueError(f"dtype {stored!r} unsupported (expected one of {allowed})")
-    declared = tuple(spec["shape"])
-    if shape is not None and declared != shape:
-        raise ValueError(f"shape {list(declared)} does not match nPsi (expected {list(shape)})")
+    info = archive.getinfo(f"{key}.npy")
     try:
-        raw = base64.b64decode(spec["data"], validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"data is not valid base64 ({exc})") from None
-    expected = math.prod(declared) * np.dtype(stored).itemsize
-    if len(raw) != expected:
-        raise ValueError(f"payload has {len(raw)} bytes, shape and dtype need {expected}")
-    return np.frombuffer(raw, dtype=stored).astype(dtype).reshape(declared)
-
-
-def _read_array(doc: dict, key: str, shape: tuple | None, dtype) -> np.ndarray:
-    """Decode one model array and check it is finite."""
-    try:
-        arr = _decode_array(doc[key], shape, dtype)
-    except (KeyError, TypeError, ValueError) as exc:
+        with archive.open(info) as member:
+            if np.lib.format.read_magic(member) != (1, 0):
+                raise ValueError("npy format version unsupported")
+            declared, _, dtype = np.lib.format.read_array_header_1_0(member)
+            if not re.fullmatch(dtypes, dtype.str):
+                raise ValueError(f"dtype {dtype.str!r} unsupported (expected {dtypes})")
+            if shape is not None and declared != shape:
+                raise ValueError(f"shape {list(declared)} does not match nPsi ({list(shape)})")
+            # The zip directory's sizes can lie too; no member holds more than the archive.
+            held = min(info.file_size, os.fstat(archive.fp.fileno()).st_size) - member.tell()
+            nbytes = math.prod(declared) * dtype.itemsize
+            if nbytes != held:
+                raise ValueError(f"header declares {nbytes} data bytes, member holds {held}")
+            member.seek(0)
+            arr = np.lib.format.read_array(member, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{key}: {exc}") from None
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
         raise ValueError(f"{key}: non-finite entries")
     return arr
 
@@ -201,11 +167,7 @@ def file_sha256(path: str) -> str:
 
 
 def save_model(record: ModelRecord, path: str) -> None:
-    """Write a schema v3 model file (see the module docstring).
-
-    The bytes are those of ``json.dumps`` of the whole document, but only
-    one array is encoded at a time, a chunk of PAYLOAD_CHUNK_BYTES at once.
-    """
+    """Write a schema v4 model archive to exactly ``path`` (see the module docstring)."""
     m, aux = record.model, record.aux
     header = {
         "schemaVersion": MODEL_SCHEMA_VERSION,
@@ -220,53 +182,61 @@ def save_model(record: ModelRecord, path: str) -> None:
         "diagnostics": {"oneStepResidual": record.one_step_residual},
     }
     arrays = {"K": m.K, "W": m.W, "Lambda": m.lambdas, "primary": record.series.values}
+    # np.savez appends ".npz" to a path, so it gets the handle.
     with _atomic_file(path) as handle:
-        handle.write(json.dumps(header)[:-1].encode("ascii"))
-        for key, arr in arrays.items():
-            _write_payload(handle, key, arr)
-        handle.write(b"}")
+        np.savez(handle, header=json.dumps(header), **{
+            key: np.asarray(arr, dtype="<c16" if np.iscomplexobj(arr) else "<f8")
+            for key, arr in arrays.items()
+        })
 
 
 def load_model(path: str) -> ModelRecord:
-    """Read a schema v3 model file; FileFormatError if malformed or of another schema."""
+    """Read a schema v4 model archive; FileFormatError if malformed or of another schema."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-    version = doc.get("schemaVersion") if isinstance(doc, dict) else None
-    if version != MODEL_SCHEMA_VERSION:
+        archive = zipfile.ZipFile(path)
+    except zipfile.BadZipFile:
         raise FileFormatError(
-            f"{path}: model schema {version} unsupported (schema {MODEL_SCHEMA_VERSION} "
-            "stores the training data); re-run identify to write it"
-        )
-    try:
-        n = int(doc["nPsi"])
-        if n < 1:
-            raise ValueError(f"nPsi must be positive, got {n}")
-        dt = float(doc["dt"])
-        # R = W^-1 is formed here, once, by the model.
-        model = KoopmanModel(
-            K=_read_array(doc, "K", (n, n), complex),
-            lambdas=_read_array(doc, "Lambda", (n,), complex),
-            W=_read_array(doc, "W", (n, n), complex),
-            eig_condition=float(doc["eigCondition"]),
-            ridge=float(doc["ridge"]),
-            dt=dt,
-        )
-        layout = doc["layout"]
-        theta = layout["theta"]
-        record = ModelRecord(
-            model=model,
-            series=PrimarySeries(
-                names=layout["names"], values=_read_array(doc, "primary", None, float), dt=dt
-            ),
-            aux=AuxiliaryConfig.disabled() if theta is None else AuxiliaryConfig(theta),
-            one_step_residual=float(doc["diagnostics"]["oneStepResidual"]),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise FileFormatError(f"{path}: missing or malformed field ({exc})") from None
-    return record
+            f"{path}: not a model archive (schema {MODEL_SCHEMA_VERSION}); JSON model "
+            "files of schemas 1 to 3 are no longer read, re-run identify to write one"
+        ) from None
+    with archive:
+        try:
+            doc = json.loads(_read_member(archive, "header", (), r"<U\d+").item())
+            version = doc.get("schemaVersion")
+            if version != MODEL_SCHEMA_VERSION:
+                raise FileFormatError(
+                    f"{path}: model schema {version} unsupported (expected "
+                    f"{MODEL_SCHEMA_VERSION}); re-run identify to write it"
+                )
+            n = int(doc["nPsi"])
+            if n < 1:
+                raise ValueError(f"nPsi must be positive, got {n}")
+            dt = float(doc["dt"])
+            # R = W^-1 is formed here, once, by the model.
+            model = KoopmanModel(
+                K=_read_member(archive, "K", (n, n), ARRAY_DTYPES),
+                lambdas=_read_member(archive, "Lambda", (n,), ARRAY_DTYPES),
+                W=_read_member(archive, "W", (n, n), ARRAY_DTYPES),
+                eig_condition=float(doc["eigCondition"]),
+                ridge=float(doc["ridge"]),
+                dt=dt,
+            )
+            layout = doc["layout"]
+            theta = layout["theta"]
+            return ModelRecord(
+                model=model,
+                series=PrimarySeries(
+                    names=layout["names"],
+                    values=_read_member(archive, "primary", None, "<f8"),
+                    dt=dt,
+                ),
+                aux=AuxiliaryConfig.disabled() if theta is None else AuxiliaryConfig(theta),
+                one_step_residual=float(doc["diagnostics"]["oneStepResidual"]),
+            )
+        except FileFormatError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FileFormatError(f"{path}: missing or malformed field ({exc})") from None
 
 
 def save_report(report_doc: dict, path: str) -> None:
@@ -279,9 +249,13 @@ def save_report(report_doc: dict, path: str) -> None:
 
 
 def load_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if doc.get("schemaVersion") != REPORT_SCHEMA_VERSION:
+    """Read a report; FileFormatError if it is not a JSON object of this schema."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: not a JSON report ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("schemaVersion") != REPORT_SCHEMA_VERSION:
         raise FileFormatError(f"{path}: unsupported report schema")
     return doc
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 import json
 import os
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,15 @@ class TestIdentify:
         printed = capsys.readouterr().out
         assert "n_psi: 2" in printed
 
+    def test_output_is_exactly_the_path_given(self, tmp_path):
+        csv, out = tmp_path / "geo.csv", tmp_path / "out"
+        write_geometric_csv(csv)
+        out.mkdir()
+        assert main(["identify", "--input", str(csv), "--output", str(out / "m.json"),
+                     "--no-aux"]) == 0
+        assert os.listdir(out) == ["m.json"]
+        assert zipfile.is_zipfile(out / "m.json")
+
     def test_missing_input_exits_2_with_path(self, tmp_path, capsys):
         code = main(
             [
@@ -87,9 +97,10 @@ class TestIdentify:
         assert code == 0
         record = load_model(str(out))
         assert record.model.n_psi == 1 + 4 + 120
-        # Real data: K is real and stored as float64, its imaginary zeros all +0.0.
-        assert json.loads(out.read_text())["K"]["dtype"] == "<f8"
-        assert not np.any(np.signbit(record.model.K.imag))
+        # Real data: K is real, stored as float64 and loaded as float64.
+        assert record.model.K.dtype == np.float64
+        with np.load(out) as archive:
+            assert archive["K"].dtype.str == "<f8"
 
 
     def test_saved_scales_are_the_trajectory_scales(self, tmp_path, monkeypatch):
@@ -203,15 +214,16 @@ class TestCompare:
 
     def test_model_missing_key_is_usage_error(self, tmp_path, capsys):
         good = identify_linear(tmp_path, "good")
-        doc = json.loads(good.read_text())
-        del doc["K"]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                if name != "K.npy":
+                    dst.writestr(name, src.read(name))
         code = main(["compare", "--model-a", str(good), "--model-b", str(bad),
                      "--output", str(tmp_path / "r.json")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "'K'" in err and "Traceback" not in err
+        assert "'K.npy'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("aux", [True, False])
     def test_report_matches_library_compare(self, tmp_path, aux):

@@ -1,9 +1,11 @@
-"""File formats: bit-exact round trips, atomicity, CSV error reporting."""
+"""File formats: bit-exact round trips, hostile model archives, atomicity, CSV errors."""
 import base64
 import dataclasses
 import json
 import os
 import tracemalloc
+import zipfile
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -62,7 +64,7 @@ def save_model_v1(record, path):
 
 
 def encode_array_whole(arr):
-    """A payload encoded in one piece."""
+    """A schema v2/v3 array payload: base64 of the little-endian bytes."""
     arr = np.asarray(arr)
     if np.iscomplexobj(arr) and not (np.any(arr.imag) or np.any(np.signbit(arr.imag))):
         arr = arr.real
@@ -71,11 +73,11 @@ def encode_array_whole(arr):
             "data": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
-def model_file_text(record):
-    """The schema v3 document as one json.dumps, the text save_model streams."""
+def model_header(record):
+    """The schema v4 header object of a record."""
     m, aux = record.model, record.aux
-    return json.dumps({
-        "schemaVersion": 3,
+    return {
+        "schemaVersion": 4,
         "nPsi": m.n_psi,
         "dt": m.dt,
         "ridge": m.ridge,
@@ -85,16 +87,23 @@ def model_file_text(record):
         },
         "eigCondition": m.eig_condition,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
-        "K": encode_array_whole(m.K),
-        "W": encode_array_whole(m.W),
-        "Lambda": encode_array_whole(m.lambdas),
-        "primary": encode_array_whole(record.series.values),
-    })
+    }
+
+
+def model_file_v3_text(record):
+    """A schema v3 document, as the v3 writer wrote it: the v4 header and arrays as
+    base64 payloads in one JSON object."""
+    m = record.model
+    doc = dict(model_header(record), schemaVersion=3)
+    for key, arr in (("K", m.K), ("W", m.W), ("Lambda", m.lambdas),
+                     ("primary", record.series.values)):
+        doc[key] = encode_array_whole(arr)
+    return json.dumps(doc)
 
 
 def model_file_v2_text(record):
     """A schema v2 document: the v3 arrays without training data, plus scales and phi0."""
-    doc = json.loads(model_file_text(record))
+    doc = json.loads(model_file_v3_text(record))
     del doc["primary"]
     doc.update(schemaVersion=2, nSteps=record.series.n_steps, spectrumKind="discrete",
                scales=encode_array_whole(np.ones(record.model.n_psi)),
@@ -158,8 +167,8 @@ def signed_zero_record(record):
 
 
 def real_k(record):
-    """The record with a real K: float64 data in a complex128 array."""
-    k = np.array(record.model.K.real, dtype=complex)
+    """The record with a real K: float64, as identify fits it to real data."""
+    k = record.model.K.real.copy()
     return dataclasses.replace(record, model=dataclasses.replace(record.model, K=k))
 
 
@@ -181,18 +190,53 @@ def assert_bit_identical(loaded, saved):
     assert loaded.one_step_residual == saved.one_step_residual
 
 
+def read_members(path):
+    """The archive's members by name, the header parsed."""
+    with np.load(path) as archive:
+        doc = {key: archive[key] for key in archive.files}
+    doc["header"] = json.loads(doc["header"].item())
+    return doc
+
+
+def npy_bytes(value):
+    """A member's content as np.savez writes it."""
+    buf = BytesIO()
+    np.lib.format.write_array(buf, np.asanyarray(value), allow_pickle=True)
+    return buf.getvalue()
+
+
+def lying_npy(dtype, shape):
+    """An npy header declaring ``shape``, followed by 64 bytes of data."""
+    buf = BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": dtype, "fortran_order": False, "shape": shape}
+    )
+    return buf.getvalue() + bytes(64)
+
+
+def write_members(path, doc):
+    """An archive of the members in order; a bytes value is the member's raw content."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                value = json.dumps(value)
+            archive.writestr(f"{key}.npy", value if isinstance(value, bytes) else npy_bytes(value))
+
+
 def corrupt(path, edit):
+    doc = read_members(path)
+    edit(doc)
+    write_members(path, doc)
+
+
+def corrupt_json(path, edit):
     doc = json.load(open(path))
     edit(doc)
     open(path, "w").write(json.dumps(doc))
 
 
-def payload(doc, key, dtype, values, shape=None):
-    doc[key] = {
-        "dtype": dtype,
-        "shape": doc[key]["shape"] if shape is None else shape,
-        "data": base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode(),
-    }
+def layout(doc, **fields):
+    doc["header"]["layout"].update(fields)
 
 
 V1_EDITS = {
@@ -207,34 +251,42 @@ V1_EDITS = {
     "inf": lambda doc: doc["phi0"][1].__setitem__(1, float("inf")),
 }
 
-# Edits of the base64 payload format, which schema v3 keeps from v2.
+# Edits of the array members and the header. The ids of the cases that
+# schema v2 introduced for its typed array payloads are kept.
 V2_EDITS = {
     "no-K": lambda doc: doc.pop("K"),
-    "no-data": lambda doc: doc["W"].pop("data"),
-    "list-payload": lambda doc: doc.update(Lambda=[[1.0, 0.0]] * 4),
-    "bad-base64": lambda doc: doc["W"].update(data=doc["W"]["data"][:-4] + "!!!!"),
-    "unsupported-dtype": lambda doc: payload(doc, "W", "<f4", np.ones(16)),
-    "big-endian": lambda doc: payload(doc, "W", ">c16", np.ones(16)),
-    "complex-primary": lambda doc: payload(doc, "primary", "<c16", np.ones(45)),
-    "byte-count": lambda doc: payload(doc, "Lambda", "<c16", np.ones(3)),
-    "shape": lambda doc: doc["K"].update(shape=[4, 3]),
-    "nan": lambda doc: payload(doc, "Lambda", "<c16", [1, 2, complex(0, np.nan), 4]),
-    "inf-primary": lambda doc: payload(doc, "primary", "<f8", np.full(45, np.inf)),
-    "zero-nPsi": lambda doc: doc.update(nPsi=0),
-    "singular-W": lambda doc: payload(doc, "W", "<c16", np.zeros(16)),
-    "subnormal-W": lambda doc: payload(doc, "W", "<c16", 1e-310 * np.eye(4).ravel()),
+    "no-header": lambda doc: doc.pop("header"),
+    "no-data": lambda doc: doc.update(W=npy_bytes(doc["W"])[:128]),
+    "list-payload": lambda doc: doc.update(Lambda=np.array([1.0, 0.0, "x", None], dtype=object)),
+    "not-npy": lambda doc: doc.update(W=b"not an npy member"),
+    "unsupported-dtype": lambda doc: doc.update(W=np.eye(4, dtype="<f4")),
+    "int-dtype": lambda doc: doc.update(W=np.eye(4, dtype="<i8")),
+    "big-endian": lambda doc: doc.update(W=doc["W"].astype(">c16")),
+    "complex-primary": lambda doc: doc.update(primary=doc["primary"].astype("<c16")),
+    "byte-count": lambda doc: doc.update(Lambda=npy_bytes(doc["Lambda"])[:-16]),
+    "shape": lambda doc: doc.update(K=doc["K"][:, :3]),
+    "lying-shape": lambda doc: doc.update(K=lying_npy("<c16", (10**6, 10**6))),
+    "lying-primary": lambda doc: doc.update(primary=lying_npy("<f8", (10**6, 10**6))),
+    "nan": lambda doc: doc.update(Lambda=np.array([1, 2, complex(0, np.nan), 4])),
+    "inf-primary": lambda doc: doc.update(primary=np.full((3, 15), np.inf)),
+    "zero-nPsi": lambda doc: doc["header"].update(nPsi=0),
+    "singular-W": lambda doc: doc.update(W=np.zeros((4, 4), dtype=complex)),
+    "subnormal-W": lambda doc: doc.update(W=1e-310 * np.eye(4, dtype=complex)),
+    "header-not-json": lambda doc: doc.update(header=np.array("{schemaVersion: 4")),
+    "header-list": lambda doc: doc.update(header=np.array("[4]")),
+    "header-not-str": lambda doc: doc.update(header=np.array(4.0)),
 }
 
-# Schema v3 files whose training data does not lift to nPsi rows.
+# Schema v4 files whose training data does not lift to nPsi rows.
 LAYOUT_EDITS = {
-    "primary-rows": lambda doc: payload(doc, "primary", "<f8", np.ones(30), shape=[2, 15]),
-    "primary-1d": lambda doc: payload(doc, "primary", "<f8", np.ones(45), shape=[45]),
-    "one-snapshot": lambda doc: payload(doc, "primary", "<f8", np.ones(3), shape=[3, 1]),
-    "names": lambda doc: doc["layout"].update(names=["a", "b"]),
-    "theta-length": lambda doc: doc["layout"].update(theta=[1.0, 1.0]),
-    "theta-sign": lambda doc: doc["layout"].update(theta=[1.0, -1.0, 1.0]),
+    "primary-rows": lambda doc: doc.update(primary=np.ones((2, 15))),
+    "primary-1d": lambda doc: doc.update(primary=np.ones(45)),
+    "one-snapshot": lambda doc: doc.update(primary=np.ones((3, 1))),
+    "names": lambda doc: layout(doc, names=["a", "b"]),
+    "theta-length": lambda doc: layout(doc, theta=[1.0, 1.0]),
+    "theta-sign": lambda doc: layout(doc, theta=[1.0, -1.0, 1.0]),
     "no-primary": lambda doc: doc.pop("primary"),
-    "no-theta": lambda doc: doc["layout"].pop("theta"),
+    "no-theta": lambda doc: doc["header"]["layout"].pop("theta"),
 }
 
 
@@ -253,124 +305,144 @@ def assert_rejected(path, tmp_path, capsys) -> str:
 
 class TestModelFile:
     def test_round_trip_bit_exact(self, record, tmp_path):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
         assert_bit_identical(load_model(path), record)
-        doc = json.load(open(path))
-        assert doc["schemaVersion"] == 3
-        assert [doc[key]["dtype"] for key in ("K", "W", "Lambda", "primary")] == [
-            "<c16", "<c16", "<c16", "<f8"
-        ]
-        assert doc["W"]["shape"] == [4, 4] and doc["primary"]["shape"] == [3, 15]
-        assert doc["layout"] == {"names": ["a", "b", "c"], "theta": None}
+        with np.load(path) as archive:
+            assert archive.files == ["header", "K", "W", "Lambda", "primary"]
+            assert [archive[key].dtype.str for key in archive.files[1:]] == [
+                "<c16", "<c16", "<c16", "<f8"
+            ]
+            assert archive["W"].shape == (4, 4) and archive["primary"].shape == (3, 15)
+        header = read_members(path)["header"]
+        assert header == model_header(record)
+        assert header["layout"] == {"names": ["a", "b", "c"], "theta": None}
 
     def test_aux_record_round_trip(self, aux_record, tmp_path):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(aux_record, path)
         loaded = load_model(path)
         assert_bit_identical(loaded, aux_record)
         assert loaded.aux == AuxiliaryConfig((0.5, 2.0))
-        assert json.load(open(path))["layout"]["theta"] == [0.5, 2.0]
+        assert read_members(path)["header"]["layout"]["theta"] == [0.5, 2.0]
 
     def test_real_k_stored_as_f8(self, record, tmp_path):
         record = real_k(record)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
+        # assert_bit_identical checks the dtype: a float64 K loads as float64.
         assert_bit_identical(load_model(path), record)
-        doc = json.load(open(path))
-        assert doc["K"]["dtype"] == "<f8"
-        assert len(base64.b64decode(doc["K"]["data"])) == 16 * 8
+        assert read_members(path)["K"].dtype.str == "<f8"
+        with zipfile.ZipFile(path) as archive:
+            assert archive.getinfo("K.npy").file_size == 128 + 16 * 8
 
     def test_signed_zeros_round_trip(self, signed_zero_record, tmp_path):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(signed_zero_record, path)
         assert_bit_identical(load_model(path), signed_zero_record)
-        # K holds a -0.0 imaginary part, so storing it as <f8 would lose a bit.
-        assert json.load(open(path))["K"]["dtype"] == "<c16"
+        assert read_members(path)["K"].dtype.str == "<c16"
 
     def test_double_round_trip_identical_bytes(self, record, tmp_path):
         for rec in (record, real_k(record)):
-            p1, p2, p3 = (str(tmp_path / f"m{i}.json") for i in (1, 2, 3))
+            p1, p2, p3 = (str(tmp_path / f"m{i}.npz") for i in (1, 2, 3))
             save_model(rec, p1)
             save_model(load_model(p1), p2)
             save_model(load_model(p2), p3)
             assert open(p1, "rb").read() == open(p2, "rb").read() == open(p3, "rb").read()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_schema_is_rejected_with_one_line(self, record, tmp_path, capsys, version):
         path = str(tmp_path / "old.json")
         if version == 1:
             save_model_v1(record, path)
         else:
-            io.atomic_write_text(path, model_file_v2_text(record))
+            writer = model_file_v2_text if version == 2 else model_file_v3_text
+            io.atomic_write_text(path, writer(record))
         err = assert_rejected(path, tmp_path, capsys)
-        assert f"model schema {version} unsupported" in err and "re-run identify" in err
+        assert "not a model archive" in err and "re-run identify" in err
+
+    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04 truncated", "npy"],
+                             ids=["empty", "zip-magic", "bare-npy"])
+    def test_non_archive_is_rejected_with_one_line(self, record, tmp_path, capsys, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(npy_bytes(record.model.W) if content == "npy" else content)
+        assert "not a model archive" in assert_rejected(str(path), tmp_path, capsys)
 
     def test_diagnostics_and_unknown_keys(self, record, tmp_path):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
-        doc = json.load(open(path))
-        assert doc["diagnostics"] == {"oneStepResidual": 1.25e-7}
-        doc["stageSeconds"] = {"identify": 1.0}
-        doc["diagnostics"]["eigResidual"] = 3e-15
-        open(path, "w").write(json.dumps(doc))
+        doc = read_members(path)
+        assert doc["header"]["diagnostics"] == {"oneStepResidual": 1.25e-7}
+        doc["header"]["stageSeconds"] = {"identify": 1.0}
+        doc["header"]["diagnostics"]["eigResidual"] = 3e-15
+        doc["extra"] = np.ones(3)
+        write_members(path, doc)
         assert load_model(path).one_step_residual == 1.25e-7
 
-    def test_schema_version_checked(self, record, tmp_path):
-        path = str(tmp_path / "model.json")
+    def test_schema_version_checked(self, record, tmp_path, capsys):
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
-        corrupt(path, lambda doc: doc.update(schemaVersion=99))
-        with pytest.raises(FileFormatError, match="schema"):
-            load_model(path)
+        corrupt(path, lambda doc: doc["header"].update(schemaVersion=99))
+        err = assert_rejected(path, tmp_path, capsys)
+        assert "model schema 99 unsupported" in err and "re-run identify" in err
 
     def test_right_eigenvectors_from_one_inverse(self, record, tmp_path):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
-        assert "R" not in json.load(open(path))
+        assert "R" not in read_members(path)
         model = load_model(path).model
         np.testing.assert_array_equal(model.R, np.linalg.inv(model.W))
 
     @pytest.mark.parametrize(
         "w, message",
-        [(np.zeros(16), "singular"), (1e-310 * np.eye(4).ravel(), "non-finite")],
+        [(np.zeros((4, 4)), "singular"), (1e-310 * np.eye(4), "non-finite")],
         ids=["singular", "subnormal"],
     )
     def test_uninvertible_w_is_a_format_error(self, record, tmp_path, w, message):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
-        corrupt(path, lambda doc: payload(doc, "W", "<c16", w))
+        corrupt(path, lambda doc: doc.update(W=w.astype(complex)))
         with pytest.raises(FileFormatError, match=f"W: .*{message}"):
             load_model(path)
 
     @pytest.mark.parametrize("edit", V1_EDITS.values(), ids=V1_EDITS.keys())
     def test_malformed_model_is_a_format_error(self, record, tmp_path, capsys, edit):
-        # A v1 file, intact or malformed, is rejected by its schema number.
+        # A v1 file, intact or malformed, is JSON and so not a model archive.
         path = str(tmp_path / "model.json")
         save_model_v1(record, path)
-        corrupt(path, edit)
-        assert "model schema 1 unsupported" in assert_rejected(path, tmp_path, capsys)
+        corrupt_json(path, edit)
+        assert "re-run identify" in assert_rejected(path, tmp_path, capsys)
 
     @pytest.mark.parametrize("edit", V2_EDITS.values(), ids=V2_EDITS.keys())
     def test_malformed_v2_model_is_a_format_error(self, record, tmp_path, capsys, edit):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
         corrupt(path, edit)
-        assert_rejected(path, tmp_path, capsys)
+        assert "malformed" in assert_rejected(path, tmp_path, capsys)
+
+    def test_member_that_fails_its_crc_is_a_format_error(self, record, tmp_path, capsys):
+        path = tmp_path / "model.npz"
+        save_model(record, str(path))
+        data = bytearray(path.read_bytes())
+        member = npy_bytes(record.model.W)
+        data[data.index(member) + len(member) - 1] ^= 1
+        path.write_bytes(bytes(data))
+        assert "W: Bad CRC-32" in assert_rejected(str(path), tmp_path, capsys)
 
     @pytest.mark.parametrize("edit", LAYOUT_EDITS.values(), ids=LAYOUT_EDITS.keys())
     def test_layout_that_does_not_lift_to_npsi_is_a_format_error(
         self, record, tmp_path, capsys, edit
     ):
         # The record lifts its 3 primary rows to nPsi = 4; with aux, 1 + 3 + 15 = 19.
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(record, path)
         corrupt(path, edit)
         assert "malformed" in assert_rejected(path, tmp_path, capsys)
 
     def test_aux_layout_must_match_npsi(self, aux_record, tmp_path, capsys):
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.npz")
         save_model(aux_record, path)
-        corrupt(path, lambda doc: doc["layout"].update(theta=None))
+        corrupt(path, lambda doc: layout(doc, theta=None))
         assert "nPsi 9 != 1 constant + 2 primary + 0 auxiliary" in assert_rejected(
             path, tmp_path, capsys
         )
@@ -389,6 +461,7 @@ class TestModelFile:
         assert os.stat(tmp_path / "model.json").st_mode & 0o777 == mode
 
     def test_no_temp_files_left(self, record, tmp_path):
+        # np.savez would append ".npz" to a path; save_model writes the path given.
         save_model(record, str(tmp_path / "model.json"))
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
@@ -412,32 +485,39 @@ class TestModelFile:
         assert np.abs(phi.phi - want).max() <= 9 * 10 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
-    def test_file_is_one_json_dumps(self, record, tmp_path, kind):
+    def test_file_is_one_savez(self, record, tmp_path, kind):
         record = real_record(np.random.default_rng(4), 6) if kind == "real" else record
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.npz"
         save_model(record, str(path))
-        assert path.read_bytes() == model_file_text(record).encode("ascii")
-        if kind == "real":
-            assert json.load(open(path))["K"]["dtype"] == "<f8"
+        m = record.model
+        want = BytesIO()
+        np.savez(want, header=json.dumps(model_header(record)), K=m.K, W=m.W,
+                 Lambda=m.lambdas, primary=record.series.values)
+        assert path.read_bytes() == want.getvalue()
+        assert read_members(path)["K"].dtype.str == ("<f8" if kind == "real" else "<c16")
 
-    def test_save_holds_less_than_one_encoded_payload(self, rng, tmp_path):
-        # W of n = 200 is 640 kB, 853 kB encoded; save_model streams it in
-        # chunks of io.PAYLOAD_CHUNK_BYTES instead of holding the document,
-        # and the chunks' encodings join to the payload's.
+    def test_load_holds_the_archive_once(self, rng, tmp_path):
+        # Members are read into their arrays in chunks of at most 256 kB, so
+        # the peak is one archive's worth of arrays plus forming R = W^-1.
         n = 200
         model = decompose(rng.standard_normal((n, n)), dt=0.1)
         rec = ModelRecord(model=model, series=series_for(rng, n, 5),
                           aux=AuxiliaryConfig.disabled(), one_step_residual=0.5)
-        encoded_w = len(encode_array_whole(model.W)["data"])
-        assert io.PAYLOAD_CHUNK_BYTES < model.W.nbytes
-        tracemalloc.start()
-        try:
-            save_model(rec, str(tmp_path / "model.json"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < encoded_w
-        assert (tmp_path / "model.json").read_bytes() == model_file_text(rec).encode("ascii")
+        path = str(tmp_path / "model.npz")
+        save_model(rec, path)
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                result = call()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loaded, peak = traced_peak(lambda: load_model(path))
+        m = loaded.model
+        _, r_peak = traced_peak(lambda: dataclasses.replace(m, R=None))
+        assert peak < os.path.getsize(path) + r_peak + (1 << 18)
 
     def test_record_must_lift_to_its_model(self, record, aux_record):
         series = PrimarySeries(("a", "b"), record.series.values[:2], 0.1)
@@ -460,6 +540,19 @@ class TestReportFile:
         doc = {"deviations": {"dMin": 1.0, "dAvg": 2.0, "dMax": 3.0}, "x": [1, 2]}
         save_report(doc, path)
         assert io.load_report(path)["x"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("not json", "not a JSON report"), ("[1, 2]", "unsupported report schema"),
+         ('{"schemaVersion": 2}', "unsupported report schema"),
+         ("PK\x03\x04\xff\xfe", "not a JSON report")],
+        ids=["not-json", "list", "schema", "binary"],
+    )
+    def test_malformed_report_is_a_format_error(self, tmp_path, text, message):
+        path = tmp_path / "r.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(FileFormatError, match=message):
+            io.load_report(str(path))
 
 
 class TestTrajectoryCsv:
