@@ -7,8 +7,8 @@ Subcommands:
   hopping          simulate the hopping example and export its observables
 
 ``identify`` saves the model with its training series; ``compare`` re-lifts
-each model's series to Phi = W Psi, as the library does, and compares the
-first min(T_a, T_b) snapshots.
+the first min(T_a, T_b) snapshots of each model's series to Phi = W Psi, as
+the library does, and compares them.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or I/O error
 (out-of-range flag values and unreadable or malformed files included).
@@ -126,11 +126,14 @@ def cmd_compare(args) -> int:
         raise UsageFailure(
             f"model dimensions differ: {rec_a.model.n_psi} vs {rec_b.model.n_psi}"
         )
-    # --no-aux models of one n_psi may differ in T: compare the common snapshots.
+    # --no-aux models of one n_psi may differ in T: compare the common snapshots,
+    # re-lifted so that Phi is normalized over them. Aux models cannot be cut.
     horizon = min(rec_a.series.n_steps, rec_b.series.n_steps)
+    if any(rec.aux.enabled and rec.series.n_steps > horizon for rec in (rec_a, rec_b)):
+        raise UsageFailure(f"a model with auxiliary rows cannot be cut to {horizon} snapshots")
     phi_a, phi_b = (
-        replace(traj, phi=traj.phi[:, :horizon])
-        for traj in (rec_a.implied_trajectory(), rec_b.implied_trajectory())
+        replace(rec, series=rec.series.window(0, horizon)).implied_trajectory()
+        for rec in (rec_a, rec_b)
     )
     normalization = {"a": "f", "b": "g", "none": "none"}[args.reference]
     report = conjugacy.compare(rec_a.model, phi_a, rec_b.model, phi_b, normalization)

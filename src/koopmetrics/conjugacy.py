@@ -17,8 +17,8 @@ The same unitary solutions pull back to observable space as the non-unitary
 transform T_C = (Omega W_g)^-1 C W_f, with Omega the diagonal that brings
 T_C as close as possible to the plain least squares map T_LSQ = Psi_g Psi_f+.
 W is invertible and C unitary, so (C W_f)^-1 = R_f C* with R = W^-1, the
-right eigenvectors each model keeps from its eigendecomposition: nothing
-here inverts or solves with W.
+right eigenvectors each model holds with W: nothing here inverts or solves
+with W.
 
 Their operator residuals ||K_f - T^-1 K_g T||_F need neither K nor a solve
 with T: K = R Lambda W (gated by ``decompose``) and T_C^-1 = R_f C* Omega W_g
@@ -31,18 +31,18 @@ C_r2 X is gamma_k X[pi^-1[k]], r2(C_r2) = ||lambda_f - lambda_g[pi]|| in
 closed form (its bracket is that diagonal), and its unitarity defect is
 ||(|gamma|^2 - 1)|| / sqrt(n). ``ParetoCorners.c_r2`` builds it densely on demand.
 
-Real systems run in real arithmetic. When both systems are closed under
-conjugation (``linalg.conjugate_basis``: real-data models and their
-trajectories), ``compare`` moves Phi, W and R into each system's real
-canonical basis, Phi_re = Q Phi, W_re = Q W, R_re = R Q*, in O(n T). Every
-residual above is invariant under these unitary changes of basis, and C
-becomes C_re = Q_g C Q_f*, so the Procrustes SVD, both pseudoinverses, the
-rebuilt Psi, T_LSQ, M, both pull-backs and all operator and trajectory
-residuals are real products. The spectrum side stays complex: the
-assignment, gamma, C_r2 and Omega^-1 link to the real basis through the
-2x2 blocks of Q D Q*. The reported C's, T's and gamma are complex as ever.
-Otherwise the maps are the identity, and the arithmetic is the complex one
-throughout.
+Real systems run in real arithmetic. A real model holds W_re = Q W and
+R_re = R Q* of its real canonical basis (``linalg.conjugate_basis``). When
+both models are real and both trajectories are closed under conjugation,
+``compare`` takes those factors as they are and moves Phi into the bases,
+Phi_re = Q Phi, in O(n T). Every residual above is invariant under these
+unitary changes of basis, and C becomes C_re = Q_g C Q_f*, so the
+Procrustes SVD, both pseudoinverses, the rebuilt Psi, T_LSQ, M, both
+pull-backs and all operator and trajectory residuals are real products.
+The spectrum side stays complex: the assignment, gamma, C_r2 and Omega^-1
+link to the real basis through the 2x2 blocks of Q D Q*. The reported C's,
+T's and gamma are complex as ever. Otherwise both systems take their
+complex W and R, and the arithmetic is the complex one throughout.
 """
 from __future__ import annotations
 
@@ -501,14 +501,14 @@ def _operator_residual(r_f, w_f, bracket: np.ndarray, basis_f: EigenBasis) -> fl
     return float(np.linalg.norm(_matmul(left, w_f)))
 
 
-def _bases(model_f, phi_f, model_g, phi_g) -> tuple[EigenBasis, EigenBasis]:
-    """The real canonical bases of f and g when both systems are closed under
-    conjugation, read from lambdas, W, R, Phi and scales; else the complex ones."""
-    bases = tuple(
-        conjugate_basis(m.lambdas, m.W, m.R.T, p.phi, p.scales)
-        for m, p in ((model_f, phi_f), (model_g, phi_g))
-    )
-    return bases if all(b.is_real for b in bases) else (COMPLEX_BASIS, COMPLEX_BASIS)
+def _bases(model_f, phi_f, model_g, phi_g) -> list[tuple[EigenBasis, np.ndarray, np.ndarray]]:
+    """(basis, W, R) of f and g: the models' own when both are real and both Phi
+    are closed under conjugation (read from Phi and scales), else the complex ones."""
+    systems = ((model_f, phi_f), (model_g, phi_g))
+    if all(m.basis.is_real and conjugate_basis(m.lambdas, p.phi, p.scales).is_real
+           for m, p in systems):
+        return [(m.basis, m.W_b, m.R_b) for m, _ in systems]
+    return [(COMPLEX_BASIS, m.W, m.R) for m, _ in systems]
 
 
 def compare(
@@ -527,7 +527,7 @@ def compare(
     their residuals. Both corners are always computed; coincidence is
     reported through the numbers rather than assumed. C_r2 enters every
     step as (permutation, gamma), and the operator residuals come from the
-    eigenbasis, so K is never read; real systems run in their real canonical
+    eigenbasis, which needs no K; real systems run in their real canonical
     bases. See the module docstring. The trajectories must be
     EigenfunctionTrajectory objects: Psi is rebuilt with the scales they carry.
     """
@@ -543,7 +543,7 @@ def compare(
     n = pf.shape[0]
     lf, lg = _spectra(model_f.lambdas, model_g.lambdas)
     # Arrays with a _b suffix are in the bases: real canonical or complex.
-    bf, bg = _bases(model_f, phi_f, model_g, phi_g)
+    (bf, w_f_b, r_f_b), (bg, w_g_b, r_g_b) = _bases(model_f, phi_f, model_g, phi_g)
     pf_b, pg_b = bf.rows_in(pf), bg.rows_in(pg)
     c1_b, sigma = solve_c_r1(pf_b, pg_b, return_singular_values=True)
     c1 = bf.cols_out(bg.rows_out(c1_b))
@@ -566,7 +566,6 @@ def compare(
     if phi_norm == 0.0 or lam_norm == 0.0:
         raise ValueError("reference system has zero norm; cannot normalize")
 
-    r_f_b, w_f_b, r_g_b = bf.cols_in(model_f.R), bf.rows_in(model_f.W), bg.cols_in(model_g.R)
     bracket_c1, defect_c1 = _spectral_bracket(lf, lg, c1_b, bf, bg)
     operator_c1 = _operator_residual(r_f_b, w_f_b, bracket_c1, bf)
     # C_r2* C_r2 = diag(|gamma[pi]|^2): unitarity_defect(C_r2) in O(n). With
@@ -593,14 +592,14 @@ def compare(
     t_lsq, lsq_rank = lsq_transform(psi_f, psi_g, return_rank=True)
     # M = W_g T_LSQ R_f, so that T_LSQ = R_g M W_f. Omega^-1 = Diag(M C*)
     # takes M and C with the rows of g's complex eigenbasis.
-    m_b = bg.rows_in(model_g.W) @ t_lsq @ r_f_b
+    m_b = w_g_b @ t_lsq @ r_f_b
     m_rows = bg.rows_out(m_b)
     omega_c1 = np.einsum("ij,ij->i", m_rows, bg.rows_out(c1_b).conj())
     omega_c2 = bf.cols_out_at(m_rows, inv_pi) * gamma.conj()
     # Peak memory: no n x n temporary outlives its use in the pull-backs.
     del pf_b, pg_b, m_rows
     t_c1, replaced_c1 = _pull_back(omega_c1, bg.rows_out(c1_b @ w_f_b), r_g_b, bg)
-    t_c2, replaced_c2 = _pull_back(omega_c2, gamma[:, None] * model_f.W[inv_pi], r_g_b, bg)
+    t_c2, replaced_c2 = _pull_back(omega_c2, gamma[:, None] * bf.rows_out(w_f_b)[inv_pi], r_g_b, bg)
     operator_lsq = None  # T_LSQ is singular below full rank
     if lsq_rank == n:
         bracket_lsq = np.linalg.solve(m_b, bg.scale_rows(lg, m_b)) - bf.diag(lf)

@@ -3,20 +3,21 @@
 All writes are atomic (temp file in the target directory, then rename), so a
 crashed run never leaves a truncated artifact.
 
-A model file (schema v4) is an uncompressed ``np.savez`` archive at exactly
+A model file (schema v5) is an uncompressed ``np.savez`` archive at exactly
 the path given. Member ``header`` is a 0-d str array holding a JSON object:
 ``nPsi``, ``dt``, ``ridge``, ``eigCondition``, ``layout`` (the observable
 ``names`` and the correlation widths ``theta``, or null without auxiliary
-rows) and ``diagnostics`` (``oneStepResidual``). ``K``, ``W``, ``Lambda``
-and ``primary`` (the training series, one row per name and one column per
-snapshot) keep their dtype, ``<f8`` or ``<c16`` (only ``<f8`` for
-``primary``), and load back bit for bit; identify's K of real data is
-float64. Each member's npy header is checked (dtype, shape against
+rows) and ``diagnostics`` (``oneStepResidual``). ``W`` is the model's W_b,
+``<f8`` in the real basis that ``linalg.conjugate_basis`` rebuilds from
+``Lambda`` and ``<c16`` in the complex one. ``Lambda`` and ``primary`` (the
+training series, one row per name and one column per snapshot) keep their
+dtype, ``<f8`` or ``<c16`` (only ``<f8`` for ``primary``); all load back bit
+for bit. Each member's npy header is checked (dtype, shape against
 ``nPsi``, data bytes against the member's size) before its data is read.
-R = W^-1 is not stored: loading inverts W once, see ``KoopmanModel``. A W
-without a finite inverse, a non-finite entry, a layout that does not lift
-to ``nPsi`` rows and the JSON files of schemas v1 to v3 raise
-FileFormatError.
+Neither K nor R is stored: loading inverts W_b once. A W without a finite
+inverse, a ``<f8`` W whose ``Lambda`` is not closed under conjugation, a
+non-finite entry, a layout that does not lift to ``nPsi`` rows, and files
+of schemas v1 to v4 raise FileFormatError.
 
 The stored series and theta rebuild the training observables Psi bit for
 bit through ``build_observables``, so the eigenfunction trajectory of a
@@ -45,8 +46,9 @@ from .koopman import (
     build_observables,
     eigenfunction_trajectories,
 )
+from .linalg import COMPLEX_BASIS, conjugate_basis
 
-MODEL_SCHEMA_VERSION = 4
+MODEL_SCHEMA_VERSION = 5
 REPORT_SCHEMA_VERSION = 1
 
 # Array member dtypes, a regular expression over numpy's dtype strings:
@@ -167,7 +169,7 @@ def file_sha256(path: str) -> str:
 
 
 def save_model(record: ModelRecord, path: str) -> None:
-    """Write a schema v4 model archive to exactly ``path`` (see the module docstring)."""
+    """Write a schema v5 model archive to exactly ``path`` (see the module docstring)."""
     m, aux = record.model, record.aux
     header = {
         "schemaVersion": MODEL_SCHEMA_VERSION,
@@ -178,10 +180,10 @@ def save_model(record: ModelRecord, path: str) -> None:
             "names": list(record.series.names),
             "theta": list(aux.theta) if aux.enabled else None,
         },
-        "eigCondition": m.eig_condition,
+        "eigCondition": m.condition_number,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
     }
-    arrays = {"K": m.K, "W": m.W, "Lambda": m.lambdas, "primary": record.series.values}
+    arrays = {"W": m.W_b, "Lambda": m.lambdas, "primary": record.series.values}
     # np.savez appends ".npz" to a path, so it gets the handle.
     with _atomic_file(path) as handle:
         np.savez(handle, header=json.dumps(header), **{
@@ -191,7 +193,7 @@ def save_model(record: ModelRecord, path: str) -> None:
 
 
 def load_model(path: str) -> ModelRecord:
-    """Read a schema v4 model archive; FileFormatError if malformed or of another schema."""
+    """Read a schema v5 model archive; FileFormatError if malformed or of another schema."""
     try:
         archive = zipfile.ZipFile(path)
     except zipfile.BadZipFile:
@@ -212,12 +214,17 @@ def load_model(path: str) -> ModelRecord:
             if n < 1:
                 raise ValueError(f"nPsi must be positive, got {n}")
             dt = float(doc["dt"])
-            # R = W^-1 is formed here, once, by the model.
+            lambdas = _read_member(archive, "Lambda", (n,), ARRAY_DTYPES)
+            w_b = _read_member(archive, "W", (n, n), ARRAY_DTYPES)
+            basis = COMPLEX_BASIS if np.iscomplexobj(w_b) else conjugate_basis(lambdas)
+            if not np.iscomplexobj(w_b) and not basis.is_real:
+                raise ValueError("W: <f8, but Lambda is not closed under conjugation")
+            # R_b = W_b^-1 is formed here, once, by the model.
             model = KoopmanModel(
-                K=_read_member(archive, "K", (n, n), ARRAY_DTYPES),
-                lambdas=_read_member(archive, "Lambda", (n,), ARRAY_DTYPES),
-                W=_read_member(archive, "W", (n, n), ARRAY_DTYPES),
-                eig_condition=float(doc["eigCondition"]),
+                lambdas=lambdas,
+                basis=basis,
+                W_b=w_b,
+                condition_number=float(doc["eigCondition"]),
                 ridge=float(doc["ridge"]),
                 dt=dt,
             )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DiagonalizabilityError, EigResult, as_matrix, conjugate_basis, eig
+from .linalg import DiagonalizabilityError, EigResult, as_matrix, eig
 
 DEGENERATE_ROW_TOL = 1e-14
 
@@ -151,45 +151,21 @@ class ObservableMatrix:
         return self.psi[self.primary_start : self.aux_start]
 
 
-@dataclass(frozen=True)
-class KoopmanModel:
-    """Identified operator with its spectral decomposition.
+@dataclass(frozen=True, kw_only=True)
+class KoopmanModel(EigResult):
+    """Spectral decomposition of an identified operator K, with its ridge and dt.
 
-    ``W`` holds left eigenvectors as rows (W @ K = diag(lambdas) @ W) and maps
-    observables to eigenfunction coordinates; ``R`` = W^-1 holds the right
-    eigenvectors as columns and maps back. ``decompose`` keeps the R that
-    ``eig`` produced; when R is not given it is computed once as inv(W), and
-    a W without a finite inverse is a ValueError. When lambdas and W are
-    closed under conjugation (``linalg.conjugate_basis``), as for a real K,
-    that inverse is inv(W_re) of the real canonical basis, taken in real
-    arithmetic.
-    The model is immutable; the per-row normalization of an eigenfunction
-    trajectory is the trajectory's own ``scales``. ``conjugacy.compare``
-    never reads K; it stays for ``free_run`` and the model file.
+    The factors are held as ``eig`` made them (``EigResult``), real for a real
+    K. K is not kept: ``decompose`` gates it and ``free_run`` takes it. The
+    model is immutable; an eigenfunction trajectory carries its own ``scales``.
     """
 
-    K: np.ndarray
-    lambdas: np.ndarray
-    W: np.ndarray
-    eig_condition: float
     ridge: float
     dt: float
-    R: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.R is None:
-            basis = conjugate_basis(self.lambdas, self.W)
-            try:
-                r = basis.cols_out(np.linalg.inv(basis.rows_in(self.W)))
-            except np.linalg.LinAlgError:
-                raise ValueError("W: singular, no right eigenvectors") from None
-            if not np.all(np.isfinite(r)):
-                raise ValueError("W: inverse has non-finite entries")
-            object.__setattr__(self, "R", r)
 
     @property
     def n_psi(self) -> int:
-        return self.K.shape[0]
+        return self.lambdas.shape[0]
 
 
 @dataclass(frozen=True)
@@ -326,13 +302,11 @@ def identify_operator(obs: ObservableMatrix, ridge: float = 0.0) -> np.ndarray:
 def decompose(
     K, dt: float, ridge: float = 0.0, eig_result: EigResult | None = None
 ) -> KoopmanModel:
-    """Spectral decomposition of an identified operator.
+    """Spectral decomposition of an identified operator: the model holds eig(K).
 
-    W is the inverse of the right-eigenvector matrix, so its rows are left
-    eigenvectors and W @ K = diag(lambdas) @ W. Pass ``eig_result`` when
-    eig(K) is already at hand. The model keeps eig's R as well, so no later
-    step inverts W. For a real K the left-residual
-    gate runs in the real canonical basis, where W_re K is a real product.
+    Pass ``eig_result`` when eig(K) is already at hand. The left-eigenvector
+    residual of W @ K = diag(lambdas) @ W is gated in eig's basis, where for
+    a real K W_re K is a real product.
     """
     arr = as_matrix(K, "K")
     if arr.shape[0] != arr.shape[1]:
@@ -341,24 +315,14 @@ def decompose(
     k_norm = np.linalg.norm(arr)
     if k_norm > 0:
         # ||W K - Lambda W|| is the same in the real canonical basis, if any.
-        basis = conjugate_basis(res.lambdas, res.W)
-        w_b = basis.rows_in(res.W)
-        residual = np.linalg.norm(w_b @ arr - basis.scale_rows(res.lambdas, w_b)) / k_norm
+        residual = np.linalg.norm(res.W_b @ arr - res.basis.scale_rows(res.lambdas, res.W_b)) / k_norm
         bound = LEFT_RESIDUAL_FACTOR * arr.shape[0] * np.finfo(float).eps * res.condition_number
         if not residual < bound:
             raise DiagonalizabilityError(
                 f"left-eigenvector residual {residual:.3e} exceeds "
                 f"{bound:.3e} ({LEFT_RESIDUAL_FACTOR:g} n eps cond(R))"
             )
-    return KoopmanModel(
-        K=arr,
-        lambdas=res.lambdas,
-        W=res.W,
-        eig_condition=res.condition_number,
-        ridge=float(ridge),
-        dt=float(dt),
-        R=res.R,
-    )
+    return KoopmanModel(**vars(res), ridge=float(ridge), dt=float(dt))
 
 
 def eigenfunction_trajectories(
@@ -369,16 +333,16 @@ def eigenfunction_trajectories(
     Each row of W @ Psi is divided by its maximum modulus over the observed
     steps; rows that never rise above DEGENERATE_ROW_TOL are left unscaled
     and flagged rather than amplified. The factors used are returned in the
-    trajectory's ``scales``; the model is not changed. For a real model and
-    real observables the product is W_re @ Psi in the real canonical basis,
-    and the rows of a conjugate pair come out exact conjugates.
+    trajectory's ``scales``; the model is not changed. The product is taken
+    in the model's basis, Q* (W_b @ Psi): for a real model and real
+    observables a real product, whose rows of a conjugate pair come out
+    exact conjugates.
     """
     if model.n_psi != obs.n_psi:
         raise ValueError(
             f"model dimension {model.n_psi} != observable dimension {obs.n_psi}"
         )
-    basis = conjugate_basis(model.lambdas, model.W)
-    raw = basis.rows_out(basis.rows_in(model.W) @ obs.psi)
+    raw = model.basis.rows_out(model.W_b @ obs.psi)
     max_mod = np.max(np.abs(raw), axis=1)
     degenerate = np.flatnonzero(max_mod < DEGENERATE_ROW_TOL)
     scales = np.where(max_mod < DEGENERATE_ROW_TOL, 1.0, 1.0 / np.where(max_mod == 0, 1.0, max_mod))

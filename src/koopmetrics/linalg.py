@@ -69,22 +69,6 @@ class SvdResult:
     V: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Eigendecomposition M @ R = R @ diag(lambdas), with W = R^-1.
-
-    Columns of R are right eigenvectors normalized to unit Euclidean norm, so
-    the rows of W are left eigenvectors: W @ M = diag(lambdas) @ W.
-    ``condition_number`` is the Frobenius condition number ||R||_F ||W||_F,
-    which bounds the 2-norm one from above: cond_2 <= cond_F <= n cond_2.
-    """
-
-    lambdas: np.ndarray
-    R: np.ndarray
-    W: np.ndarray
-    condition_number: float
-
-
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
     """a itself, or its real part when every imaginary part is exactly zero."""
     return np.ascontiguousarray(a.real) if not np.any(a.imag) else a
@@ -234,6 +218,48 @@ def conjugate_basis(lambdas, *arrays) -> EigenBasis:
     return EigenBasis(pairs=pairs, lone=lone)
 
 
+@dataclass(frozen=True, kw_only=True)
+class EigResult:
+    """Eigendecomposition M @ R = R @ diag(lambdas), W = R^-1, held in ``basis``.
+
+    ``W_b`` = Q W and ``R_b`` = R Q* (real in a real basis; ``R_b`` defaults to
+    inv(W_b), a ValueError unless finite) are read-only, as are ``lambdas``.
+    Columns of R have unit norm, so the rows of W are left eigenvectors:
+    W @ M = diag(lambdas) @ W. ``condition_number`` is ||R||_F ||W||_F, which
+    bounds the 2-norm one from above: cond_2 <= cond_F <= n cond_2.
+    """
+
+    lambdas: np.ndarray
+    basis: EigenBasis
+    W_b: np.ndarray
+    R_b: np.ndarray | None = None
+    condition_number: float
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.W_b) == self.basis.is_real:
+            raise ValueError("W_b must be real exactly in a real basis")
+        if self.R_b is None:
+            try:
+                r_b = np.linalg.inv(self.W_b)
+            except np.linalg.LinAlgError:
+                raise ValueError("W: singular, no right eigenvectors") from None
+            if not np.all(np.isfinite(r_b)):
+                raise ValueError("W: inverse has non-finite entries")
+            object.__setattr__(self, "R_b", r_b)
+        for arr in (self.lambdas, self.W_b, self.R_b):
+            arr.flags.writeable = False
+
+    @property
+    def W(self) -> np.ndarray:
+        """Left eigenvectors as rows, complex: Q* W_b."""
+        return self.basis.rows_out(self.W_b)
+
+    @property
+    def R(self) -> np.ndarray:
+        """Right eigenvectors as columns, complex: R_b Q."""
+        return self.basis.cols_out(self.R_b)
+
+
 def svd(m) -> SvdResult:
     """Economy-size SVD; the factors are real for float64 input.
 
@@ -251,15 +277,14 @@ def svd(m) -> SvdResult:
 
 
 def eig(m) -> EigResult:
-    """Eigendecomposition of a square matrix.
+    """Eigendecomposition of a square matrix; lambdas are complex128.
 
-    lambdas, R and W are complex128; float64 input is decomposed in real
-    arithmetic, so its conjugate eigenvalue pairs and eigenvector columns
-    come out exactly conjugate. Their real canonical basis
-    (``conjugate_basis``) is used: W is inverted from R_re in real arithmetic
-    and returned as Q* R_re^-1, so its paired rows are exact conjugates too.
-    Eigenvector columns have unit norm; order and phase are implementation
-    defined but deterministic for fixed input.
+    float64 input is decomposed in real arithmetic, so its conjugate pairs
+    come out exactly conjugate, and held in their real canonical basis
+    (``conjugate_basis``): R_re, and W_re = R_re^-1 inverted in real
+    arithmetic. Other input is held in COMPLEX_BASIS. Eigenvector columns
+    have unit norm; order and phase are implementation defined but
+    deterministic for fixed input.
 
     Raises DiagonalizabilityError when R is singular or its condition number
     reaches EIG_CONDITION_LIMIT (defective or nearly so).
@@ -289,7 +314,7 @@ def eig(m) -> EigResult:
             f"eigenvector matrix condition number {cond:.3e} exceeds "
             f"{EIG_CONDITION_LIMIT:.0e}; matrix is numerically defective"
         )
-    return EigResult(lambdas=lambdas, R=r, W=basis.rows_out(w_b), condition_number=cond)
+    return EigResult(lambdas=lambdas, basis=basis, W_b=w_b, R_b=r_b, condition_number=cond)
 
 
 def numerical_rank(s: np.ndarray, rtol: float = DEFAULT_PINV_RTOL) -> int:

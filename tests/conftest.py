@@ -8,6 +8,7 @@ from koopmetrics.koopman import (
     decompose,
     eigenfunction_trajectories,
 )
+from koopmetrics.linalg import conjugate_basis
 
 
 def random_unitary(rng, n):
@@ -33,6 +34,25 @@ def random_diagonalizable(rng, n, radius=1.0):
     d = mods * np.exp(1j * phases)
     s = random_well_conditioned(rng, n)
     return s @ np.diag(d) @ np.linalg.inv(s)
+
+
+def model_of(lambdas, w, r=None, condition_number=1.0, dt=0.1):
+    """KoopmanModel of eigenvalues and complex left eigenvectors W, R = W^-1 if not given.
+
+    The model takes the real canonical basis when lambdas, W and R are
+    closed under conjugation, as ``eig`` does for a real K.
+    """
+    arrays = (w,) if r is None else (w, r.T)
+    basis = conjugate_basis(lambdas, *arrays)
+    return KoopmanModel(
+        lambdas=lambdas,
+        basis=basis,
+        W_b=basis.rows_in(w),
+        R_b=None if r is None else basis.cols_in(r),
+        condition_number=condition_number,
+        ridge=0.0,
+        dt=dt,
+    )
 
 
 def raw_observables(psi, dt=0.1):

@@ -2,7 +2,6 @@
 import json
 import os
 import zipfile
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +55,8 @@ class TestIdentify:
         assert code == 0
         record = load_model(str(out))
         assert record.model.n_psi == 2  # constant row + the observable
-        k = record.model.K
+        m = record.model
+        k = (m.R * m.lambdas) @ m.W
         assert abs(k[1, 1] - 0.5) < 1e-8 and abs(k[1, 0]) < 1e-8
         assert abs(k[0, 0] - 1.0) < 1e-10
         printed = capsys.readouterr().out
@@ -97,10 +97,11 @@ class TestIdentify:
         assert code == 0
         record = load_model(str(out))
         assert record.model.n_psi == 1 + 4 + 120
-        # Real data: K is real, stored as float64 and loaded as float64.
-        assert record.model.K.dtype == np.float64
+        # Real data: W_b is W_re, stored as float64 and loaded as float64.
+        assert record.model.basis.is_real and record.model.W_b.dtype == np.float64
         with np.load(out) as archive:
-            assert archive["K"].dtype.str == "<f8"
+            assert archive.files == ["header", "W", "Lambda", "primary"]
+            assert archive["W"].dtype.str == "<f8"
 
 
     def test_saved_scales_are_the_trajectory_scales(self, tmp_path, monkeypatch):
@@ -201,6 +202,23 @@ class TestCompare:
             raw["residuals"]["r2_cr2"] / lam_norm, rel=1e-9
         )
 
+    def test_auxiliary_model_longer_than_the_other_is_usage_error(self, tmp_path, capsys):
+        # n_psi = 7 either way: 1 + 1 primary + 5 auxiliary rows, or 1 + 6
+        # primary rows over 3 snapshots. The first cannot be cut to 3.
+        rng = np.random.default_rng(8)
+        paths = []
+        for n_primary, n_steps, aux in ((1, 5, koopman.AuxiliaryConfig((1.0,))),
+                                        (6, 3, koopman.AuxiliaryConfig.disabled())):
+            series = koopman.PrimarySeries(tuple(f"p{i}" for i in range(n_primary)),
+                                           rng.standard_normal((n_primary, n_steps)), 0.1)
+            model = koopman.decompose(rng.standard_normal((7, 7)), 0.1)
+            paths.append(str(tmp_path / f"{n_primary}.npz"))
+            io.save_model(io.ModelRecord(model, series, aux, 0.0), paths[-1])
+        code = main(["compare", "--model-a", paths[0], "--model-b", paths[1],
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "auxiliary rows" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         csv, small = tmp_path / "geo.csv", tmp_path / "small.json"
         write_geometric_csv(csv)
@@ -217,20 +235,21 @@ class TestCompare:
         bad = tmp_path / "bad.npz"
         with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
             for name in src.namelist():
-                if name != "K.npy":
+                if name != "W.npy":
                     dst.writestr(name, src.read(name))
         code = main(["compare", "--model-a", str(good), "--model-b", str(bad),
                      "--output", str(tmp_path / "r.json")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "'K.npy'" in err and "Traceback" not in err
+        assert "'W.npy'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("aux", [True, False])
     def test_report_matches_library_compare(self, tmp_path, aux):
         # The CLI lifts each model's stored series as the library does. Without
         # aux the two models differ in T, and the first min(T_a, T_b) snapshots
-        # are compared.
-        a = identify_linear(tmp_path, "a", aux=aux, n=50)
+        # are lifted and compared, so every Phi row peaks at modulus 1 over
+        # them. Model a's growing mode peaks after that horizon.
+        a = identify_linear(tmp_path, "a", aux=aux, decay=1.02, n=50)
         b = identify_linear(tmp_path, "b", "--train-steps", "50" if aux else "45",
                             aux=aux, decay=0.7, n=50)
         report_path = tmp_path / "r.json"
@@ -242,14 +261,13 @@ class TestCompare:
         horizon = min(rec_a.series.n_steps, rec_b.series.n_steps)
         assert horizon == (50 if aux else 45)
         phi_a, phi_b = (
-            replace(phi, phi=phi.phi[:, :horizon])
-            for phi in (
-                koopman.eigenfunction_trajectories(
-                    rec.model, koopman.build_observables(rec.series, rec.aux)
-                )
-                for rec in (rec_a, rec_b)
+            koopman.eigenfunction_trajectories(
+                rec.model, koopman.build_observables(rec.series.window(0, horizon), rec.aux)
             )
+            for rec in (rec_a, rec_b)
         )
+        for phi in (phi_a, phi_b):
+            np.testing.assert_allclose(np.abs(phi.phi).max(axis=1), 1.0, rtol=1e-12)
         report = conjugacy.compare(rec_a.model, phi_a, rec_b.model, phi_b, "f")
         c, d = report.corners, report.deviations
         assert doc["deviations"] == {"dMin": d.d_min, "dAvg": d.d_avg, "dMax": d.d_max}

@@ -28,6 +28,11 @@ from koopmetrics.linalg import conjugate_basis
 from conftest import lifted_system, random_diagonalizable, real_system
 
 
+def operator(m):
+    """The K = R Lambda W a model represents, which older schemas stored."""
+    return (m.R * m.lambdas) @ m.W
+
+
 def encode_complex_v1(arr):
     """Row-major list of [re, im] pairs."""
     flat = np.asarray(arr, dtype=complex).reshape(-1)
@@ -52,11 +57,11 @@ def save_model_v1(record, path):
             "aux": False,
             "theta": None,
         },
-        "K": encode_complex_v1(m.K),
+        "K": encode_complex_v1(operator(m)),
         "W": encode_complex_v1(m.W),
         "Lambda": encode_complex_v1(m.lambdas),
         "scales": [1.0] * n,
-        "eigCondition": m.eig_condition,
+        "eigCondition": m.condition_number,
         "phi0": encode_complex_v1(m.W[:, 0]),
         "nSteps": record.series.n_steps,
     }
@@ -74,10 +79,10 @@ def encode_array_whole(arr):
 
 
 def model_header(record):
-    """The schema v4 header object of a record."""
+    """The schema v5 header object of a record."""
     m, aux = record.model, record.aux
     return {
-        "schemaVersion": 4,
+        "schemaVersion": 5,
         "nPsi": m.n_psi,
         "dt": m.dt,
         "ridge": m.ridge,
@@ -85,7 +90,7 @@ def model_header(record):
             "names": list(record.series.names),
             "theta": list(aux.theta) if aux.enabled else None,
         },
-        "eigCondition": m.eig_condition,
+        "eigCondition": m.condition_number,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
     }
 
@@ -95,7 +100,7 @@ def model_file_v3_text(record):
     base64 payloads in one JSON object."""
     m = record.model
     doc = dict(model_header(record), schemaVersion=3)
-    for key, arr in (("K", m.K), ("W", m.W), ("Lambda", m.lambdas),
+    for key, arr in (("K", operator(m)), ("W", m.W), ("Lambda", m.lambdas),
                      ("primary", record.series.values)):
         doc[key] = encode_array_whole(arr)
     return json.dumps(doc)
@@ -109,6 +114,13 @@ def model_file_v2_text(record):
                scales=encode_array_whole(np.ones(record.model.n_psi)),
                phi0=encode_array_whole(record.model.W[:, 0]))
     return json.dumps(doc)
+
+
+def save_model_v4(record, path):
+    """A schema v4 archive, as the v4 writer wrote it: K and the complex W."""
+    m = record.model
+    np.savez(path, header=json.dumps(dict(model_header(record), schemaVersion=4)),
+             K=operator(m), W=m.W, Lambda=m.lambdas, primary=record.series.values)
 
 
 def series_for(rng, n_psi, n_steps=15, dt=0.1):
@@ -154,35 +166,33 @@ def aux_record(rng):
 def signed_zero_record(record):
     """The record with -0.0 in real and imaginary parts of every complex array."""
     m = record.model
-    k, w, lam = m.K.copy(), m.W.copy(), m.lambdas.copy()
-    k[0, 0] = complex(-0.0, 0.5)
-    k[1, 2] = complex(0.25, -0.0)
+    w, lam = m.W_b.copy(), m.lambdas.copy()
+    w[0, 0] = complex(-0.0, 0.5)
+    w[1, 2] = complex(0.25, -0.0)
     w[3, 1] = complex(-0.0, -0.0)
     lam[2] = complex(lam[2].real, -0.0)
     values = record.series.values.copy()
     values[1, 4] = -0.0
-    model = dataclasses.replace(m, K=k, W=w, lambdas=lam)
+    model = dataclasses.replace(m, W_b=w, R_b=None, lambdas=lam)
     series = dataclasses.replace(record.series, values=values)
     return dataclasses.replace(record, model=model, series=series)
 
 
-def real_k(record):
-    """The record with a real K: float64, as identify fits it to real data."""
-    k = record.model.K.real.copy()
-    return dataclasses.replace(record, model=dataclasses.replace(record.model, K=k))
-
-
 def assert_bit_identical(loaded, saved):
+    basis, want = loaded.model.basis, saved.model.basis
+    assert basis.is_real == want.is_real
+    if basis.is_real:
+        np.testing.assert_array_equal(basis.pairs, want.pairs)
+        np.testing.assert_array_equal(basis.lone, want.lone)
     pairs = [
-        (loaded.model.K, saved.model.K),
-        (loaded.model.W, saved.model.W),
+        (loaded.model.W_b, saved.model.W_b),
         (loaded.model.lambdas, saved.model.lambdas),
         (loaded.series.values, saved.series.values),
     ]
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    for field in ("dt", "ridge", "eig_condition"):
+    for field in ("dt", "ridge", "condition_number"):
         assert getattr(loaded.model, field) == getattr(saved.model, field)
     assert loaded.series.names == saved.series.names
     assert loaded.series.dt == saved.series.dt
@@ -254,7 +264,7 @@ V1_EDITS = {
 # Edits of the array members and the header. The ids of the cases that
 # schema v2 introduced for its typed array payloads are kept.
 V2_EDITS = {
-    "no-K": lambda doc: doc.pop("K"),
+    "no-W": lambda doc: doc.pop("W"),
     "no-header": lambda doc: doc.pop("header"),
     "no-data": lambda doc: doc.update(W=npy_bytes(doc["W"])[:128]),
     "list-payload": lambda doc: doc.update(Lambda=np.array([1.0, 0.0, "x", None], dtype=object)),
@@ -264,8 +274,8 @@ V2_EDITS = {
     "big-endian": lambda doc: doc.update(W=doc["W"].astype(">c16")),
     "complex-primary": lambda doc: doc.update(primary=doc["primary"].astype("<c16")),
     "byte-count": lambda doc: doc.update(Lambda=npy_bytes(doc["Lambda"])[:-16]),
-    "shape": lambda doc: doc.update(K=doc["K"][:, :3]),
-    "lying-shape": lambda doc: doc.update(K=lying_npy("<c16", (10**6, 10**6))),
+    "shape": lambda doc: doc.update(W=doc["W"][:, :3]),
+    "lying-shape": lambda doc: doc.update(W=lying_npy("<c16", (10**6, 10**6))),
     "lying-primary": lambda doc: doc.update(primary=lying_npy("<f8", (10**6, 10**6))),
     "nan": lambda doc: doc.update(Lambda=np.array([1, 2, complex(0, np.nan), 4])),
     "inf-primary": lambda doc: doc.update(primary=np.full((3, 15), np.inf)),
@@ -277,7 +287,7 @@ V2_EDITS = {
     "header-not-str": lambda doc: doc.update(header=np.array(4.0)),
 }
 
-# Schema v4 files whose training data does not lift to nPsi rows.
+# Schema v5 files whose training data does not lift to nPsi rows.
 LAYOUT_EDITS = {
     "primary-rows": lambda doc: doc.update(primary=np.ones((2, 15))),
     "primary-1d": lambda doc: doc.update(primary=np.ones(45)),
@@ -309,9 +319,9 @@ class TestModelFile:
         save_model(record, path)
         assert_bit_identical(load_model(path), record)
         with np.load(path) as archive:
-            assert archive.files == ["header", "K", "W", "Lambda", "primary"]
+            assert archive.files == ["header", "W", "Lambda", "primary"]
             assert [archive[key].dtype.str for key in archive.files[1:]] == [
-                "<c16", "<c16", "<c16", "<f8"
+                "<c16", "<c16", "<f8"
             ]
             assert archive["W"].shape == (4, 4) and archive["primary"].shape == (3, 15)
         header = read_members(path)["header"]
@@ -326,24 +336,30 @@ class TestModelFile:
         assert loaded.aux == AuxiliaryConfig((0.5, 2.0))
         assert read_members(path)["header"]["layout"]["theta"] == [0.5, 2.0]
 
-    def test_real_k_stored_as_f8(self, record, tmp_path):
-        record = real_k(record)
+    def test_real_model_stored_as_f8(self, tmp_path):
+        # A real model's W_b is W_re, stored as it is held; the loader
+        # rebuilds the real basis from Lambda and inverts W_re for R_re.
+        record = real_record(np.random.default_rng(5), 6)
+        assert record.model.basis.is_real and record.model.basis.pairs.size
         path = str(tmp_path / "model.npz")
         save_model(record, path)
-        # assert_bit_identical checks the dtype: a float64 K loads as float64.
-        assert_bit_identical(load_model(path), record)
-        assert read_members(path)["K"].dtype.str == "<f8"
+        # assert_bit_identical checks the dtype: a float64 W_b loads as float64.
+        loaded = load_model(path)
+        assert_bit_identical(loaded, record)
+        np.testing.assert_array_equal(loaded.model.R_b, np.linalg.inv(record.model.W_b))
         with zipfile.ZipFile(path) as archive:
-            assert archive.getinfo("K.npy").file_size == 128 + 16 * 8
+            assert archive.namelist() == ["header.npy", "W.npy", "Lambda.npy", "primary.npy"]
+            assert archive.getinfo("W.npy").file_size == 128 + 36 * 8
+        assert read_members(path)["W"].dtype.str == "<f8"
 
     def test_signed_zeros_round_trip(self, signed_zero_record, tmp_path):
         path = str(tmp_path / "model.npz")
         save_model(signed_zero_record, path)
         assert_bit_identical(load_model(path), signed_zero_record)
-        assert read_members(path)["K"].dtype.str == "<c16"
+        assert read_members(path)["W"].dtype.str == "<c16"
 
     def test_double_round_trip_identical_bytes(self, record, tmp_path):
-        for rec in (record, real_k(record)):
+        for rec in (record, real_record(np.random.default_rng(6), 6)):
             p1, p2, p3 = (str(tmp_path / f"m{i}.npz") for i in (1, 2, 3))
             save_model(rec, p1)
             save_model(load_model(p1), p2)
@@ -360,6 +376,20 @@ class TestModelFile:
             io.atomic_write_text(path, writer(record))
         err = assert_rejected(path, tmp_path, capsys)
         assert "not a model archive" in err and "re-run identify" in err
+
+    def test_v4_archive_is_rejected_with_one_line(self, record, tmp_path, capsys):
+        path = str(tmp_path / "model.npz")
+        save_model_v4(record, path)
+        err = assert_rejected(path, tmp_path, capsys)
+        assert "model schema 4 unsupported" in err and "re-run identify" in err
+
+    def test_f8_w_needs_a_spectrum_closed_under_conjugation(self, tmp_path, capsys):
+        record = real_record(np.random.default_rng(7), 6)
+        path = str(tmp_path / "model.npz")
+        save_model(record, path)
+        j = record.model.basis.pairs[0]
+        corrupt(path, lambda doc: doc["Lambda"].__setitem__(j + 1, doc["Lambda"][j]))
+        assert "not closed under conjugation" in assert_rejected(path, tmp_path, capsys)
 
     @pytest.mark.parametrize("content", [b"", b"PK\x03\x04 truncated", "npy"],
                              ids=["empty", "zip-magic", "bare-npy"])
@@ -448,7 +478,7 @@ class TestModelFile:
         )
 
     def test_encode_complex_matches_pair_lists(self, record):
-        for arr in (record.model.W, real_k(record).model.K, record.model.lambdas):
+        for arr in (record.model.W, record.series.values, record.model.lambdas):
             assert json.dumps(io.encode_complex(arr)) == json.dumps(encode_complex_v1(arr))
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -476,8 +506,9 @@ class TestModelFile:
         record = real_record(np.random.default_rng(3), 9, n_steps=150)
         lam = record.model.lambdas
         phi = record.implied_trajectory()
-        basis = conjugate_basis(lam, record.model.W, phi.phi)
+        basis = record.model.basis
         assert basis.is_real and basis.pairs.size
+        assert conjugate_basis(lam, phi.phi, phi.scales).is_real
         np.testing.assert_array_equal(phi.phi[basis.pairs + 1], phi.phi[basis.pairs].conj())
         assert not np.any(phi.phi[basis.lone].imag)
         psi = np.vstack([np.ones((1, 150)), record.series.values])
@@ -491,14 +522,14 @@ class TestModelFile:
         save_model(record, str(path))
         m = record.model
         want = BytesIO()
-        np.savez(want, header=json.dumps(model_header(record)), K=m.K, W=m.W,
+        np.savez(want, header=json.dumps(model_header(record)), W=m.W_b,
                  Lambda=m.lambdas, primary=record.series.values)
         assert path.read_bytes() == want.getvalue()
-        assert read_members(path)["K"].dtype.str == ("<f8" if kind == "real" else "<c16")
+        assert read_members(path)["W"].dtype.str == ("<f8" if kind == "real" else "<c16")
 
     def test_load_holds_the_archive_once(self, rng, tmp_path):
         # Members are read into their arrays in chunks of at most 256 kB, so
-        # the peak is one archive's worth of arrays plus forming R = W^-1.
+        # the peak is one archive's worth of arrays plus forming R_b = W_b^-1.
         n = 200
         model = decompose(rng.standard_normal((n, n)), dt=0.1)
         rec = ModelRecord(model=model, series=series_for(rng, n, 5),
@@ -516,7 +547,7 @@ class TestModelFile:
 
         loaded, peak = traced_peak(lambda: load_model(path))
         m = loaded.model
-        _, r_peak = traced_peak(lambda: dataclasses.replace(m, R=None))
+        _, r_peak = traced_peak(lambda: dataclasses.replace(m, R_b=None))
         assert peak < os.path.getsize(path) + r_peak + (1 << 18)
 
     def test_record_must_lift_to_its_model(self, record, aux_record):

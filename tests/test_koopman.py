@@ -9,7 +9,6 @@ from koopmetrics.conjugacy import solve_permutation
 from koopmetrics.koopman import (
     AuxiliaryConfig,
     IdentificationError,
-    KoopmanModel,
     PrimarySeries,
     build_observables,
     decompose,
@@ -22,9 +21,15 @@ from koopmetrics.koopman import (
     lift_columns,
     reconstruct_observables,
 )
-from koopmetrics.linalg import DiagonalizabilityError, conjugate_basis, eig
+from koopmetrics.linalg import COMPLEX_BASIS, DiagonalizabilityError, conjugate_basis, eig
 
-from conftest import lifted_system, random_diagonalizable, random_well_conditioned, raw_observables
+from conftest import (
+    lifted_system,
+    model_of,
+    random_diagonalizable,
+    random_well_conditioned,
+    raw_observables,
+)
 
 
 def propagator(k_cont, dt):
@@ -90,7 +95,7 @@ class TestBuildObservables:
         k = identify_operator(obs, ridge=default_ridge(obs))
         assert k.dtype == np.float64
         model = decompose(k, dt=obs.dt)
-        assert model.K.dtype == np.float64
+        assert model.basis.is_real and model.W_b.dtype == model.R_b.dtype == np.float64
         assert model.W.dtype == model.lambdas.dtype == np.complex128
 
 
@@ -160,26 +165,27 @@ class TestDecompose:
 
     def test_right_eigenvectors_default_to_inverse_of_w(self, rng):
         w = random_well_conditioned(rng, 4)
-        model = KoopmanModel(
-            K=np.eye(4, dtype=complex), lambdas=np.ones(4, dtype=complex), W=w,
-            eig_condition=1.0, ridge=0.0, dt=0.1,
-        )
+        model = model_of(np.ones(4, dtype=complex), w)
+        assert model.basis is COMPLEX_BASIS
         np.testing.assert_array_equal(model.R, np.linalg.inv(w))
         with pytest.raises(ValueError, match="singular"):
-            dataclasses.replace(model, W=np.zeros((4, 4), dtype=complex), R=None)
+            dataclasses.replace(model, W_b=np.zeros((4, 4), dtype=complex), R_b=None)
+        with pytest.raises(ValueError, match="real exactly in a real basis"):
+            dataclasses.replace(model, W_b=w.real, R_b=None)
 
     def test_right_eigenvectors_of_a_real_structured_w_from_the_real_inverse(self, rng):
         # W closed under conjugation: R = inv(W_re) Q, whose columns at each
         # pair are exact conjugates; equal to inv(W) up to rounding only.
         model = decompose(rng.standard_normal((12, 12)), dt=0.1)
-        basis = conjugate_basis(model.lambdas, model.W)
+        basis = model.basis
         assert basis.is_real and basis.pairs.size
-        rebuilt = dataclasses.replace(model, R=None)
+        rebuilt = dataclasses.replace(model, R_b=None)
+        np.testing.assert_array_equal(rebuilt.R_b, np.linalg.inv(model.W_b))
         r = rebuilt.R
         np.testing.assert_array_equal(r[:, basis.pairs + 1], r[:, basis.pairs].conj())
         assert not np.any(r[:, basis.lone].imag)
         n = model.n_psi
-        tol = 10 * n * np.finfo(float).eps * model.eig_condition
+        tol = 10 * n * np.finfo(float).eps * model.condition_number
         assert np.linalg.norm(model.W @ r - np.eye(n)) <= tol
         assert np.linalg.norm(r - np.linalg.inv(model.W)) <= tol * np.linalg.norm(r)
 
@@ -203,7 +209,7 @@ class TestDecompose:
         d = rng.uniform(0.3, 0.98, n)
         k = s @ np.diag(d) @ np.linalg.inv(s)
         model = decompose(k.astype(dtype), dt=0.1)
-        assert model.eig_condition > 1e7
+        assert model.condition_number > 1e7
         residual = np.linalg.norm(model.W @ k - model.lambdas[:, None] * model.W)
         assert 1e-9 < residual / np.linalg.norm(k) < 1e-6
 
@@ -223,14 +229,7 @@ class TestDecompose:
 class TestEigenfunctions:
     def test_identity_w_halves_row(self):
         psi = np.array([[2.0, 1.0, 0.4]], dtype=complex)
-        model = KoopmanModel(
-            K=np.eye(1, dtype=complex),
-            lambdas=np.ones(1, dtype=complex),
-            W=np.eye(1, dtype=complex),
-            eig_condition=1.0,
-            ridge=0.0,
-            dt=0.1,
-        )
+        model = model_of(np.ones(1, dtype=complex), np.eye(1, dtype=complex))
         traj = eigenfunction_trajectories(model, raw_observables(psi))
         np.testing.assert_allclose(traj.phi, psi / 2.0, atol=1e-15)
         assert traj.scales[0] == pytest.approx(0.5)
@@ -252,8 +251,9 @@ class TestEigenfunctions:
         obs = build_observables(series(vals), AuxiliaryConfig((0.8, 1.1)))
         model = decompose(identify_operator(obs, default_ridge(obs)), dt=obs.dt)
         traj = eigenfunction_trajectories(model, obs)
-        basis = conjugate_basis(model.lambdas, model.W, traj.phi, traj.scales)
+        basis = model.basis
         assert basis.is_real and basis.pairs.size
+        assert conjugate_basis(model.lambdas, traj.phi, traj.scales).is_real
         np.testing.assert_array_equal(traj.phi[basis.pairs + 1], traj.phi[basis.pairs].conj())
         reference = model.W @ obs.psi
         scale = np.linalg.norm(model.W) * np.linalg.norm(obs.psi)
@@ -270,18 +270,17 @@ class TestEigenfunctions:
             assert getattr(model, name) is value
             np.testing.assert_array_equal(np.asarray(value), snapshot[name])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.W = np.eye(5)
+            model.W_b = np.eye(5)
+        # Under the complex basis W and R are the model's own arrays.
+        assert model.basis is COMPLEX_BASIS
+        real = decompose(rng.standard_normal((5, 5)), dt=0.1)
+        for arr in (model.W, model.R, model.lambdas, real.W_b, real.R_b, real.lambdas):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     def test_degenerate_row_flagged(self):
         psi = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
-        model = KoopmanModel(
-            K=np.eye(2, dtype=complex),
-            lambdas=np.ones(2, dtype=complex),
-            W=np.eye(2, dtype=complex),
-            eig_condition=1.0,
-            ridge=0.0,
-            dt=0.1,
-        )
+        model = model_of(np.ones(2, dtype=complex), np.eye(2, dtype=complex))
         traj = eigenfunction_trajectories(model, raw_observables(psi))
         assert traj.degenerate_rows == (1,)
         assert traj.scales[1] == 1.0
@@ -302,21 +301,12 @@ class TestEigenfunctions:
 
 class TestPredict:
     def test_zero_steps(self, rng):
-        model = decompose(np.diag([0.5, 0.25]), dt=0.1)
-        out = free_run(model.K, [1.0, 2.0], steps=0)
+        out = free_run(np.diag([0.5, 0.25]), [1.0, 2.0], steps=0)
         assert out.shape == (2, 1)
         np.testing.assert_array_equal(out[:, 0], [1.0, 2.0])
 
     def test_doubling_operator(self):
-        model = KoopmanModel(
-            K=2.0 * np.eye(2, dtype=complex),
-            lambdas=2.0 * np.ones(2, dtype=complex),
-            W=np.eye(2, dtype=complex),
-            eig_condition=1.0,
-            ridge=0.0,
-            dt=0.1,
-        )
-        out = free_run(model.K, [1.0, 0.0], steps=3)
+        out = free_run(2.0 * np.eye(2, dtype=complex), [1.0, 0.0], steps=3)
         np.testing.assert_array_equal(out[0], [1.0, 2.0, 4.0, 8.0])
         np.testing.assert_array_equal(out[1], np.zeros(4))
 
@@ -334,11 +324,10 @@ class TestPredict:
         psi = rng.standard_normal((3, 20))
         obs = raw_observables(psi)
         k = identify_operator(obs, ridge=0.0)
-        model = decompose(k, dt=0.1)
         x, y = obs.psi[:, :-1], obs.psi[:, 1:]
         fit_res = np.linalg.norm(y - k @ x)
         for col in range(0, 19, 6):
-            pred = free_run(model.K, obs.psi[:, col], steps=1)[:, 1]
+            pred = free_run(k, obs.psi[:, col], steps=1)[:, 1]
             assert np.linalg.norm(pred - obs.psi[:, col + 1]) <= fit_res + 1e-12
 
 
