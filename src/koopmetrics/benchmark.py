@@ -15,6 +15,7 @@ residual at any realistic sampling rate.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -28,7 +29,7 @@ from .koopman import (
     decompose,
     eigenfunction_trajectories,
 )
-from .linalg import EigResult, eig
+from .linalg import EigResult
 
 SWEEP_COLUMNS = (
     "alpha",
@@ -43,6 +44,8 @@ SWEEP_COLUMNS = (
     "c_gap",
     "error",
 )
+
+SWEEP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -138,12 +141,9 @@ def benchmark_system(
 ) -> tuple[KoopmanModel, EigenfunctionTrajectory, ObservableMatrix]:
     """Generator-spectrum model plus sampled eigenfunction trajectory."""
     k_f, k_g = analytic_generators(p)
-    k = k_f if system == "f" else k_g
-    gen = eig(k)
-    obs = simulate_observables(gen, p, system)
-    model = decompose(k, p.dt, ridge=0.0, eig_result=gen)
-    phi = eigenfunction_trajectories(model, obs)
-    return model, phi, obs
+    model = decompose(k_f if system == "f" else k_g, p.dt)
+    obs = simulate_observables(model, p, system)
+    return model, eigenfunction_trajectories(model, obs), obs
 
 
 def compare_pair(p: BenchmarkParams, normalization: str = "f") -> conjugacy.ConjugacyReport:
@@ -164,10 +164,11 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _sweep_point(args) -> tuple:
-    alpha, beta, p = args
+    alpha, beta, p, (model_f, phi_f) = args
     point = replace(p, alpha=float(alpha), beta=float(beta))
     try:
-        report = compare_pair(point, normalization="f")
+        model_g, phi_g, _ = benchmark_system(point, "g")
+        report = conjugacy.compare(model_f, phi_f, model_g, phi_g, "f")
         c = report.corners
         c_r2 = c.c_r2
         c_gap = float(np.linalg.norm(c.c_r1 - c_r2) / np.linalg.norm(c_r2))
@@ -197,17 +198,22 @@ def sweep(
 ) -> list[tuple]:
     """Deviation table over an (alpha, beta) grid, one row per point.
 
-    Rows are sorted by (alpha, beta) regardless of execution order, so any
+    System f depends on neither alpha nor beta, so it is built once (a failure
+    there raises); each point builds only g, and a failure there becomes its
+    row. At most ``parallel`` workers run, and no more than the CPUs or the
+    chunks of SWEEP_CHUNK points. Rows are sorted by (alpha, beta), so any
     worker count yields identical output.
     """
     alphas = np.asarray(alpha_values, dtype=float)
     betas = np.asarray(beta_values, dtype=float)
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("sweep ranges must be nonempty")
-    points = [(a, b, p) for a in alphas for b in betas]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_sweep_point, points, chunksize=32))
+    f = benchmark_system(p, "f")[:2]
+    points = [(a, b, p, f) for a in alphas for b in betas]
+    workers = min(parallel, os.cpu_count() or 1, -(-len(points) // SWEEP_CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_point, points, chunksize=SWEEP_CHUNK))
     else:
         rows = [_sweep_point(pt) for pt in points]
     rows.sort(key=lambda r: (r[0], r[1]))

@@ -71,7 +71,7 @@ def cmd_identify(args) -> int:
     if args.ridge is not None and not args.ridge >= 0:
         raise UsageFailure(f"--ridge must be nonnegative, got {args.ridge:g}")
     series = io.read_trajectory_csv(_require_file(args.input), dt=args.dt)
-    train_steps = args.train_steps or series.n_steps
+    train_steps = series.n_steps if args.train_steps is None else args.train_steps
     if not 2 <= train_steps <= series.n_steps:
         raise UsageFailure(
             f"--train-steps {train_steps} outside 2..{series.n_steps}"
@@ -201,6 +201,8 @@ def cmd_benchmark_sweep(args) -> int:
     x0 = _parse_floats(args.x0, "--x0")
     if len(x0) != 2:
         raise UsageFailure(f"--x0 expects two numbers, got {len(x0)}")
+    if args.parallel < 1:
+        raise UsageFailure(f"--parallel must be at least 1, got {args.parallel}")
     try:
         params = benchmark.BenchmarkParams(dt=args.dt, steps=args.steps, x0=x0)
         alphas = benchmark.grid_values(args.alpha_min, args.alpha_max, args.step)
@@ -373,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageFailure, io.FileFormatError, FileNotFoundError, PermissionError) as exc:
+    except (UsageFailure, io.FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (

@@ -31,18 +31,18 @@ C_r2 X is gamma_k X[pi^-1[k]], r2(C_r2) = ||lambda_f - lambda_g[pi]|| in
 closed form (its bracket is that diagonal), and its unitarity defect is
 ||(|gamma|^2 - 1)|| / sqrt(n). ``ParetoCorners.c_r2`` builds it densely on demand.
 
-Real systems run in real arithmetic. A real model holds W_re = Q W and
-R_re = R Q* of its real canonical basis (``linalg.conjugate_basis``). When
-both models are real and both trajectories are closed under conjugation,
-``compare`` takes those factors as they are and moves Phi into the bases,
-Phi_re = Q Phi, in O(n T). Every residual above is invariant under these
-unitary changes of basis, and C becomes C_re = Q_g C Q_f*, so the
-Procrustes SVD, both pseudoinverses, the rebuilt Psi, T_LSQ, M, both
-pull-backs and all operator and trajectory residuals are real products.
-The spectrum side stays complex: the assignment, gamma, C_r2 and Omega^-1
-link to the real basis through the 2x2 blocks of Q D Q*. The reported C's,
-T's and gamma are complex as ever. Otherwise both systems take their
-complex W and R, and the arithmetic is the complex one throughout.
+Real systems run in real arithmetic. Each model holds W_b = Q W and
+R_b = R Q* in its own basis (``linalg.EigenBasis``; Q = I for a complex
+model), and ``compare`` takes them as they are and moves Phi in as
+Phi_b = Q Phi in O(n T): rows that are exact conjugates come out real, any
+others go through Q in complex arithmetic. Every residual above is
+invariant under these unitary changes of basis, C becomes C_b = Q_g C Q_f*,
+and Psi is the trajectory's own, so for real systems with real data the
+Procrustes SVD, both pseudoinverses, T_LSQ, M, both pull-backs and all
+operator and trajectory residuals are real products. The spectrum side
+stays complex: the assignment, gamma, C_r2 and Omega^-1 link to a real
+basis through the 2x2 blocks of Q D Q*. The reported C's, T's and gamma
+are complex as ever.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ from .koopman import EigenfunctionTrajectory, KoopmanModel
 from .linalg import (
     COMPLEX_BASIS,
     EigenBasis,
-    conjugate_basis,
     numerical_rank,
     pinv,
     svd,
@@ -501,16 +500,6 @@ def _operator_residual(r_f, w_f, bracket: np.ndarray, basis_f: EigenBasis) -> fl
     return float(np.linalg.norm(_matmul(left, w_f)))
 
 
-def _bases(model_f, phi_f, model_g, phi_g) -> list[tuple[EigenBasis, np.ndarray, np.ndarray]]:
-    """(basis, W, R) of f and g: the models' own when both are real and both Phi
-    are closed under conjugation (read from Phi and scales), else the complex ones."""
-    systems = ((model_f, phi_f), (model_g, phi_g))
-    if all(m.basis.is_real and conjugate_basis(m.lambdas, p.phi, p.scales).is_real
-           for m, p in systems):
-        return [(m.basis, m.W_b, m.R_b) for m, _ in systems]
-    return [(COMPLEX_BASIS, m.W, m.R) for m, _ in systems]
-
-
 def compare(
     model_f: KoopmanModel,
     phi_f: EigenfunctionTrajectory,
@@ -527,14 +516,14 @@ def compare(
     their residuals. Both corners are always computed; coincidence is
     reported through the numbers rather than assumed. C_r2 enters every
     step as (permutation, gamma), and the operator residuals come from the
-    eigenbasis, which needs no K; real systems run in their real canonical
-    bases. See the module docstring. The trajectories must be
-    EigenfunctionTrajectory objects: Psi is rebuilt with the scales they carry.
+    eigenbasis, which needs no K; each system runs in its model's own basis.
+    See the module docstring. The trajectories must be
+    EigenfunctionTrajectory objects: T_LSQ and the fits use the Psi they carry.
     """
     if normalization not in ("none", "f", "g"):
         raise ValueError(f"normalization must be 'none', 'f' or 'g', got {normalization!r}")
     if not all(isinstance(p, EigenfunctionTrajectory) for p in (phi_f, phi_g)):
-        raise TypeError("compare needs EigenfunctionTrajectory inputs, which carry their scales")
+        raise TypeError("compare needs EigenfunctionTrajectory inputs, which carry their Psi")
     pf, pg = phi_f.phi, phi_g.phi
     if pf.shape != pg.shape:
         raise ValueError(
@@ -542,11 +531,13 @@ def compare(
         )
     n = pf.shape[0]
     lf, lg = _spectra(model_f.lambdas, model_g.lambdas)
-    # Arrays with a _b suffix are in the bases: real canonical or complex.
-    (bf, w_f_b, r_f_b), (bg, w_g_b, r_g_b) = _bases(model_f, phi_f, model_g, phi_g)
+    # Arrays with a _b suffix are in the models' bases: real canonical or complex.
+    bf, w_f_b, r_f_b = model_f.basis, model_f.W_b, model_f.R_b
+    bg, w_g_b, r_g_b = model_g.basis, model_g.W_b, model_g.R_b
     pf_b, pg_b = bf.rows_in(pf), bg.rows_in(pg)
     c1_b, sigma = solve_c_r1(pf_b, pg_b, return_singular_values=True)
-    c1 = bf.cols_out(bg.rows_out(c1_b))
+    c1_rows = bg.rows_out(c1_b)
+    c1 = bf.cols_out(c1_rows)
     pi = solve_permutation(lf, lg)
     # Row k of C_r2 X is gamma_k X[inv_pi[k]].
     inv_pi = np.argsort(pi)
@@ -585,19 +576,15 @@ def compare(
     )
     deviations = pareto_deviations(corners)
 
-    # Psi = R diag(1/scales) Phi; paired rows share their scale, so it
-    # commutes with Q.
-    psi_f = r_f_b @ (pf_b / phi_f.scales[:, None])
-    psi_g = r_g_b @ (pg_b / phi_g.scales[:, None])
-    t_lsq, lsq_rank = lsq_transform(psi_f, psi_g, return_rank=True)
+    t_lsq, lsq_rank = lsq_transform(phi_f.psi, phi_g.psi, return_rank=True)
     # M = W_g T_LSQ R_f, so that T_LSQ = R_g M W_f. Omega^-1 = Diag(M C*)
     # takes M and C with the rows of g's complex eigenbasis.
     m_b = w_g_b @ t_lsq @ r_f_b
     m_rows = bg.rows_out(m_b)
-    omega_c1 = np.einsum("ij,ij->i", m_rows, bg.rows_out(c1_b).conj())
+    omega_c1 = np.einsum("ij,ij->i", m_rows, c1_rows.conj())
     omega_c2 = bf.cols_out_at(m_rows, inv_pi) * gamma.conj()
     # Peak memory: no n x n temporary outlives its use in the pull-backs.
-    del pf_b, pg_b, m_rows
+    del pf_b, pg_b, m_rows, c1_rows
     t_c1, replaced_c1 = _pull_back(omega_c1, bg.rows_out(c1_b @ w_f_b), r_g_b, bg)
     t_c2, replaced_c2 = _pull_back(omega_c2, gamma[:, None] * bf.rows_out(w_f_b)[inv_pi], r_g_b, bg)
     operator_lsq = None  # T_LSQ is singular below full rank
@@ -615,7 +602,7 @@ def compare(
     )
 
     def fit(t) -> float:
-        return float(np.linalg.norm(psi_g - _matmul(t, psi_f)))
+        return float(np.linalg.norm(phi_g.psi - _matmul(t, phi_f.psi)))
 
     residuals = {
         "T_C_r1": (operator_c1, fit(t_c1)),

@@ -97,7 +97,7 @@ class ModelRecord:
             raise ValueError(f"model dt {self.model.dt} != series dt {self.series.dt}")
 
     def implied_trajectory(self) -> EigenfunctionTrajectory:
-        """Phi = diag(scales) W Psi of the training data, re-lifted as identify lifted it."""
+        """Phi = diag(scales) W Psi, carrying Psi: the training data re-lifted as identify did."""
         return eigenfunction_trajectories(self.model, build_observables(self.series, self.aux))
 
 

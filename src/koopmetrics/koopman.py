@@ -146,10 +146,6 @@ class ObservableMatrix:
     def aux_start(self) -> int:
         return self.primary_start + self.n_primary
 
-    @property
-    def primary_rows(self) -> np.ndarray:
-        return self.psi[self.primary_start : self.aux_start]
-
 
 @dataclass(frozen=True, kw_only=True)
 class KoopmanModel(EigResult):
@@ -157,7 +153,7 @@ class KoopmanModel(EigResult):
 
     The factors are held as ``eig`` made them (``EigResult``), real for a real
     K. K is not kept: ``decompose`` gates it and ``free_run`` takes it. The
-    model is immutable; an eigenfunction trajectory carries its own ``scales``.
+    model is immutable; an eigenfunction trajectory carries its ``scales`` and ``psi``.
     """
 
     ridge: float
@@ -170,15 +166,23 @@ class KoopmanModel(EigResult):
 
 @dataclass(frozen=True)
 class EigenfunctionTrajectory:
-    """Row-normalized eigenfunction samples Phi = diag(scales) @ W @ Psi.
+    """Row-normalized eigenfunction samples Phi = diag(scales) @ W @ Psi, and their Psi.
 
+    ``phi``, ``scales`` and ``psi`` are read-only views of the arrays given.
     Rows whose raw maximum modulus fell below DEGENERATE_ROW_TOL are kept
     unscaled and listed in ``degenerate_rows``.
     """
 
     phi: np.ndarray
     scales: np.ndarray
+    psi: np.ndarray
     degenerate_rows: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        for name in ("phi", "scales", "psi"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n_psi(self) -> int:
@@ -299,19 +303,17 @@ def identify_operator(obs: ObservableMatrix, ridge: float = 0.0) -> np.ndarray:
     return k
 
 
-def decompose(
-    K, dt: float, ridge: float = 0.0, eig_result: EigResult | None = None
-) -> KoopmanModel:
+def decompose(K, dt: float, ridge: float = 0.0) -> KoopmanModel:
     """Spectral decomposition of an identified operator: the model holds eig(K).
 
-    Pass ``eig_result`` when eig(K) is already at hand. The left-eigenvector
-    residual of W @ K = diag(lambdas) @ W is gated in eig's basis, where for
-    a real K W_re K is a real product.
+    The model is an ``EigResult``, so it serves wherever eig(K) would. The
+    left-eigenvector residual of W @ K = diag(lambdas) @ W is gated in eig's
+    basis, where for a real K W_re K is a real product.
     """
     arr = as_matrix(K, "K")
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"K must be square, got shape {arr.shape}")
-    res = eig(arr) if eig_result is None else eig_result
+    res = eig(arr)
     k_norm = np.linalg.norm(arr)
     if k_norm > 0:
         # ||W K - Lambda W|| is the same in the real canonical basis, if any.
@@ -333,10 +335,10 @@ def eigenfunction_trajectories(
     Each row of W @ Psi is divided by its maximum modulus over the observed
     steps; rows that never rise above DEGENERATE_ROW_TOL are left unscaled
     and flagged rather than amplified. The factors used are returned in the
-    trajectory's ``scales``; the model is not changed. The product is taken
-    in the model's basis, Q* (W_b @ Psi): for a real model and real
-    observables a real product, whose rows of a conjugate pair come out
-    exact conjugates.
+    trajectory's ``scales`` and ``obs.psi`` in its ``psi``, a read-only view,
+    not a copy; the model is not changed. The product is taken in the
+    model's basis, Q* (W_b @ Psi): for a real model and real observables a
+    real product, whose rows of a conjugate pair come out exact conjugates.
     """
     if model.n_psi != obs.n_psi:
         raise ValueError(
@@ -348,14 +350,14 @@ def eigenfunction_trajectories(
     scales = np.where(max_mod < DEGENERATE_ROW_TOL, 1.0, 1.0 / np.where(max_mod == 0, 1.0, max_mod))
     phi = raw * scales[:, None]
     return EigenfunctionTrajectory(
-        phi=phi, scales=scales, degenerate_rows=tuple(int(i) for i in degenerate)
+        phi=phi, scales=scales, psi=obs.psi, degenerate_rows=tuple(int(i) for i in degenerate)
     )
 
 
 def reconstruct_observables(
     model: KoopmanModel, traj: EigenfunctionTrajectory
 ) -> np.ndarray:
-    """Invert the eigenfunction map: Psi = R @ diag(1/scales) @ Phi, R = W^-1."""
+    """Psi = R @ diag(1/scales) @ Phi, R = W^-1: the reference formula for ``traj.psi``."""
     return model.R @ (traj.phi / traj.scales[:, None])
 
 

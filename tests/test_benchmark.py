@@ -1,4 +1,6 @@
 """Analytic benchmark pair: generators, trajectories, sweep, published values."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,25 +202,72 @@ class TestSweep:
         ]
 
     def test_parallel_matches_serial(self):
+        # 36 points make two chunks, so two workers run where two CPUs are.
         p = BenchmarkParams(steps=200)
-        alphas, betas = [0.9, 1.0, 1.1], [0.95, 1.05]
+        alphas, betas = np.linspace(0.9, 1.1, 9), [0.95, 1.0, 1.05, 1.1]
         assert sweep(alphas, betas, p, parallel=2) == sweep(alphas, betas, p)
 
     def test_point_failure_recorded_not_fatal(self, monkeypatch):
-        real = benchmark.compare_pair
+        real = benchmark.benchmark_system
 
-        def flaky(params, normalization="f"):
-            if params.alpha == 0.9:
+        def flaky(params, system):
+            if system == "g" and params.alpha == 0.9:
                 raise RuntimeError("synthetic failure")
-            return real(params, normalization)
+            return real(params, system)
 
-        monkeypatch.setattr(benchmark, "compare_pair", flaky)
+        monkeypatch.setattr(benchmark, "benchmark_system", flaky)
         rows = sweep([0.9, 1.0], [1.0], BenchmarkParams(steps=200))
         failed = [r for r in rows if r[-1]]
         assert len(failed) == 1 and "synthetic failure" in failed[0][-1]
         assert np.isnan(failed[0][2])
         clean = [r for r in rows if not r[-1]]
         assert len(clean) == 1 and clean[0][2] < 1e-9
+
+    def test_f_built_once_and_rows_match_compare_pair(self, monkeypatch):
+        real, calls = benchmark.benchmark_system, []
+
+        def counted(params, system):
+            calls.append(system)
+            return real(params, system)
+
+        p = BenchmarkParams(steps=200)
+        monkeypatch.setattr(benchmark, "benchmark_system", counted)
+        rows = sweep([0.9, 1.0], [0.95, 1.1], p)
+        monkeypatch.undo()
+        assert calls.count("f") == 1 and calls.count("g") == 4
+        for alpha, beta, *values in rows:
+            devs = compare_pair(replace(p, alpha=alpha, beta=beta)).deviations
+            assert tuple(values[:3]) == (devs.d_min, devs.d_avg, devs.d_max)
+
+    @pytest.mark.parametrize(
+        "parallel, cpus, n_alpha, workers",
+        [(1000, 64, 9, 3), (1000, 2, 9, 2), (8, 64, 3, None), (2, None, 9, None)],
+        ids=["chunks", "cpus", "one-chunk-serial", "cpu-count-unknown-serial"],
+    )
+    def test_workers_bounded_by_cpus_and_chunks(self, monkeypatch, parallel, cpus, n_alpha, workers):
+        # 9 x 9 points make three chunks of 32, 3 x 9 make one. No worker
+        # process starts: the fake pool records its size and maps in process.
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(benchmark.os, "cpu_count", lambda: cpus)
+        grid = np.linspace(0.8, 1.2, 9)
+        rows = sweep(grid[:n_alpha], grid, BenchmarkParams(steps=50), parallel=parallel)
+        assert len(rows) == n_alpha * 9
+        assert started == ([] if workers is None else [workers])
 
     def test_smooth_near_conjugacy(self):
         alphas = [0.99, 1.0, 1.01]

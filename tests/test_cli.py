@@ -338,8 +338,9 @@ class TestBenchmarkSweep:
         assert len(lines) == 1 + 3 * 2
 
     def test_parallel_output_identical(self, tmp_path):
+        # 5 x 9 points make two chunks, so two workers run where two CPUs are.
         args = ["benchmark-sweep", "--alpha-min", "0.9", "--alpha-max", "1.1",
-                "--beta-min", "1.0", "--beta-max", "1.1", "--step", "0.1",
+                "--beta-min", "0.8", "--beta-max", "1.2", "--step", "0.05",
                 "--steps", "200"]
         one, eight = tmp_path / "p1.csv", tmp_path / "p8.csv"
         assert main(args + ["--parallel", "1", "--output", str(one)]) == 0
@@ -471,10 +472,13 @@ class TestExitCodes:
             ["identify", "--theta", "0,1,1"],
             ["identify", "--fit-theta", "--train-steps", "20", "--theta-grid", "0,1"],
             ["identify", "--dt", "-1"],
+            ["identify", "--train-steps", "0"],
             ["benchmark-sweep", "--dt", "0"],
             ["benchmark-sweep", "--steps", "1"],
+            ["benchmark-sweep", "--parallel", "0"],
         ],
-        ids=["ridge", "theta", "theta-grid", "identify-dt", "sweep-dt", "sweep-steps"],
+        ids=["ridge", "theta", "theta-grid", "identify-dt", "train-steps-zero", "sweep-dt",
+             "sweep-steps", "sweep-parallel"],
     )
     def test_out_of_range_flags_are_usage_errors(self, tmp_path, capsys, argv):
         csv, out = tmp_path / "lin.csv", tmp_path / "out"
@@ -488,6 +492,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert argv[-2].lstrip("-") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["compare-output", "compare-model", "identify-input"])
+    def test_directory_given_as_a_file_is_usage_error(self, tmp_path, capsys, where):
+        model = identify_linear(tmp_path, "lin")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {
+            "compare-output": ["compare", "--model-a", model, "--model-b", model,
+                               "--output", folder],
+            "compare-model": ["compare", "--model-a", folder, "--model-b", model,
+                              "--output", tmp_path / "r.json"],
+            "identify-input": ["identify", "--input", folder, "--output", tmp_path / "m.npz"],
+        }[where]
+        capsys.readouterr()
+        assert main([str(arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # Nothing written, no temp file left behind.
+        assert sorted(os.listdir(tmp_path)) == ["folder", "lin.csv", "lin.json"]
+        assert os.listdir(folder) == []
 
     def test_empty_sweep_grid_is_usage_error(self, tmp_path, capsys):
         code = main(

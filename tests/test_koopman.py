@@ -278,6 +278,17 @@ class TestEigenfunctions:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
+    def test_trajectory_is_read_only_and_holds_psi_uncopied(self, rng):
+        obs = raw_observables(rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12)))
+        traj = eigenfunction_trajectories(decompose(random_diagonalizable(rng, 5), dt=0.1), obs)
+        assert np.shares_memory(traj.psi, obs.psi)
+        np.testing.assert_array_equal(traj.psi, obs.psi)
+        for arr in (traj.phi, traj.scales, traj.psi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # The trajectory's view leaves the caller's array as it was.
+        assert obs.psi.flags.writeable
+
     def test_degenerate_row_flagged(self):
         psi = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
         model = model_of(np.ones(2, dtype=complex), np.eye(2, dtype=complex))
