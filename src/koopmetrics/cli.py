@@ -11,11 +11,12 @@ the first min(T_a, T_b) snapshots of each model's series to Phi = W Psi, as
 the library does, and compares them.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or I/O error
-(out-of-range flag values and unreadable or malformed files included).
+(out-of-range or non-finite flag values and unreadable or malformed files included).
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -47,9 +48,12 @@ class UsageFailure(Exception):
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise UsageFailure(f"{flag} expects comma-separated numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageFailure(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def _positive_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -79,7 +83,7 @@ def cmd_identify(args) -> int:
     train = series.window(0, train_steps)
 
     if not args.aux:
-        aux = AuxiliaryConfig.disabled()
+        aux = None
     elif args.fit_theta:
         if train_steps >= series.n_steps:
             raise UsageFailure("--fit-theta needs holdout steps beyond --train-steps")
@@ -129,7 +133,7 @@ def cmd_compare(args) -> int:
     # --no-aux models of one n_psi may differ in T: compare the common snapshots,
     # re-lifted so that Phi is normalized over them. Aux models cannot be cut.
     horizon = min(rec_a.series.n_steps, rec_b.series.n_steps)
-    if any(rec.aux.enabled and rec.series.n_steps > horizon for rec in (rec_a, rec_b)):
+    if any(rec.aux is not None and rec.series.n_steps > horizon for rec in (rec_a, rec_b)):
         raise UsageFailure(f"a model with auxiliary rows cannot be cut to {horizon} snapshots")
     phi_a, phi_b = (
         replace(rec, series=rec.series.window(0, horizon)).implied_trajectory()
@@ -244,7 +248,6 @@ def cmd_hopping(args) -> int:
         cfg = hopper.HopperConfig(
             dt=args.dt, steps=args.steps, actuator=actuator, params=overrides
         )
-        cfg.actuator_params()  # rejects unknown --set keys
     except ValueError as exc:
         raise UsageFailure(str(exc))
 
@@ -374,6 +377,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageFailure(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (UsageFailure, io.FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

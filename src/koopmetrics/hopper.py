@@ -23,6 +23,7 @@ is exactly the plug-in mutual information.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,9 +78,13 @@ class IntegrationError(RuntimeError):
 class HopperConfig:
     """Mass, leg geometry, time grid, and actuator selection.
 
-    ``params`` overrides individual entries of the per-actuator defaults.
-    The DC motor needs ``reference``: the (y, ydot) arrays it should track,
-    normally recorded from a nonlinear-muscle run.
+    ``params`` overrides individual entries of the per-actuator defaults. The
+    merge is resolved and checked once, here, so no parameter of a config
+    that exists fails later: ValueError unless dt is finite and positive,
+    each override a known key with a finite value, and the divisors dl_width,
+    v_max and tau_act (muscles) or resistance and tau_elec (DC motor)
+    positive. The DC motor needs ``reference``: the (y, ydot) arrays it
+    should track, normally recorded from a nonlinear-muscle run.
     """
 
     m: float = 1.0
@@ -92,30 +97,37 @@ class HopperConfig:
     y_init: float = 1.12
     v_init: float = 0.0
     reference: tuple[np.ndarray, np.ndarray] | None = None
+    _merged: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "actuator", Actuator(self.actuator))
-        if self.m <= 0 or self.l0 <= 0 or self.dt <= 0:
-            raise ValueError("m, l0 and dt must be positive")
+        if not (self.m > 0 and self.l0 > 0 and 0 < self.dt < math.inf):
+            raise ValueError("m, l0 and dt must be positive and dt finite")
         if self.steps < 3:
             raise ValueError("steps must be at least 3")
         if self.y_init <= self.l0:
             raise ValueError(
                 f"initial height {self.y_init} must exceed leg length {self.l0}"
             )
-
-    def actuator_params(self) -> dict[str, float]:
         base = {
             Actuator.NONLINEAR_MUSCLE: MUSCLE_DEFAULTS,
             Actuator.LINEARIZED_MUSCLE: LINEARIZED_DEFAULTS,
             Actuator.DC_MOTOR: DC_DEFAULTS,
         }[self.actuator]
-        merged = dict(base)
         unknown = set(self.params) - set(base)
         if unknown:
             raise ValueError(f"unknown actuator parameters: {sorted(unknown)}")
-        merged.update(self.params)
-        return merged
+        merged = {**base, **self.params}
+        divisors = ("resistance", "tau_elec") if base is DC_DEFAULTS else ("dl_width", "v_max", "tau_act")
+        for key, value in merged.items():
+            if not math.isfinite(value) or (key in divisors and value <= 0):
+                positive = " and positive" if key in divisors else ""
+                raise ValueError(f"actuator parameter {key} must be finite{positive}, got {value:g}")
+        object.__setattr__(self, "_merged", merged)
+
+    def actuator_params(self) -> dict[str, float]:
+        """The actuator's defaults with ``params`` applied (a copy)."""
+        return dict(self._merged)
 
 
 @dataclass(frozen=True)
@@ -153,48 +165,40 @@ class McSeries:
     mc: np.ndarray
 
 
-def _hill_fv_raw(v: np.ndarray | float, v_max: float, curvature: float, ecc_max: float):
-    """Force-velocity hyperbola over both concentric and eccentric branches.
+def _leg_force(cfg: HopperConfig):
+    """``actuator_force`` as a float function of (y, ydot, u, current)."""
+    p = cfg._merged
+    if cfg.actuator is Actuator.DC_MOTOR:
+        return lambda y, ydot, u, current: p["k_torque"] * current
+    l0, f_max, dl_opt, dl_width = cfg.l0, p["f_max"], p["dl_opt"], p["dl_width"]
+    v_max, curvature, ecc_max = p["v_max"], p["curvature"], p["ecc_max"]
+    nonlinear = cfg.actuator is Actuator.NONLINEAR_MUSCLE
+    # Tangent of the hyperbola at v = 0: slope -(1 + curvature)/v_max.
+    slope = (1.0 + curvature) / v_max
 
-    v is the shortening velocity of the actuator (positive while the leg
-    extends). The curve passes through 1 at v = 0, falls to 0 at v = v_max,
-    and saturates at ecc_max on the lengthening side where the hyperbola
-    would blow up.
-    """
-    v = np.asarray(v, dtype=float)
-    denom = v_max + curvature * v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hyper = np.where(denom > 1e-12, (v_max - v) / np.where(denom > 1e-12, denom, 1.0), ecc_max)
-    return np.clip(hyper, 0.0, ecc_max)
+    def force(y, ydot, u, current):
+        rel = (l0 - y - dl_opt) / dl_width
+        f_l = max(0.0, 1.0 - rel * rel)
+        if nonlinear:
+            denom = v_max + curvature * ydot
+            f_v = (v_max - ydot) / denom if denom > 1e-12 else ecc_max
+        else:
+            f_v = 1.0 - slope * ydot
+        return max(0.0, u * f_max * f_l * min(max(f_v, 0.0), ecc_max))
 
-
-def _force_length(contraction: np.ndarray | float, dl_opt: float, dl_width: float):
-    """Parabolic force-length factor, clamped nonnegative."""
-    rel = (np.asarray(contraction, dtype=float) - dl_opt) / dl_width
-    return np.maximum(0.0, 1.0 - rel * rel)
+    return force
 
 
 def actuator_force(cfg: HopperConfig, y: float, ydot: float, u: float, current: float = 0.0) -> float:
     """Leg force in ground contact for the configured actuator.
 
     Muscle variants: F = u * f_max * f_l(l0 - y) * f_v(ydot), clamped
-    nonnegative, with f_v either the full hyperbola or its zero-velocity
-    tangent. DC motor: F = k_torque * current (the caller integrates the
-    electrical state).
+    nonnegative, with f_v either the full hyperbola (1 at rest, 0 at v_max,
+    ecc_max where it would blow up) or its zero-velocity tangent, clamped to
+    [0, ecc_max]. DC motor: F = k_torque * current (the caller integrates
+    the electrical state). ``simulate_hopping`` applies this same force.
     """
-    p = cfg.actuator_params()
-    if cfg.actuator is Actuator.DC_MOTOR:
-        return p["k_torque"] * current
-    f_l = _force_length(cfg.l0 - y, p["dl_opt"], p["dl_width"])
-    if cfg.actuator is Actuator.NONLINEAR_MUSCLE:
-        f_v = _hill_fv_raw(ydot, p["v_max"], p["curvature"], p["ecc_max"])
-    elif cfg.actuator is Actuator.LINEARIZED_MUSCLE:
-        # Tangent of the hyperbola at v = 0: slope -(1 + curvature)/v_max.
-        slope = (1.0 + p["curvature"]) / p["v_max"]
-        f_v = np.clip(1.0 - slope * ydot, 0.0, p["ecc_max"])
-    else:
-        raise ValueError(f"unknown actuator kind: {cfg.actuator!r}")
-    return float(np.maximum(0.0, u * p["f_max"] * f_l * f_v))
+    return float(_leg_force(cfg)(y, ydot, u, current))
 
 
 def simulate_hopping(cfg: HopperConfig) -> HopperTrace:
@@ -208,9 +212,10 @@ def simulate_hopping(cfg: HopperConfig) -> HopperTrace:
     positive work over a stance: without it, force peaks at maximum
     compression and every cycle loses energy to the force-velocity curve.
     The DC motor runs PD tracking of the configured reference through its
-    electrical dynamics.
+    electrical dynamics; a missing or short reference is a ValueError. The
+    steps run in plain floats; a non-finite state raises IntegrationError.
     """
-    p = cfg.actuator_params()
+    p = cfg._merged
     n = cfg.steps
     is_dc = cfg.actuator is Actuator.DC_MOTOR
     if is_dc:
@@ -223,52 +228,44 @@ def simulate_hopping(cfg: HopperConfig) -> HopperTrace:
             raise ValueError(
                 f"reference length {len(y_ref)} shorter than {n} steps"
             )
+        y_ref, v_ref = (np.asarray(r, dtype=float).tolist() for r in (y_ref, v_ref))
 
-    t = np.arange(n) * cfg.dt
-    y = np.empty(n)
-    v = np.empty(n)
-    acc = np.empty(n)
-    u_arr = np.empty(n)
-    force = np.empty(n)
-    sensor = np.empty(n)
-    contact = np.empty(n, dtype=bool)
-
-    y_cur = cfg.y_init
-    v_cur = cfg.v_init
+    leg_force = _leg_force(cfg)
+    dt, g, m, l0 = float(cfg.dt), float(cfg.g), float(cfg.m), float(cfg.l0)
+    y_cur, v_cur = float(cfg.y_init), float(cfg.v_init)
     u_cur = 0.0 if is_dc else p["bias"]
     current = 0.0
+    rows = []  # (y, ydot, yddot, u, force, sensor, contact) per step
 
     for i in range(n):
-        in_contact = y_cur <= cfg.l0
+        in_contact = y_cur <= l0
         if is_dc:
             raw = p["kp"] * (y_ref[i] - y_cur) + p["kd"] * (v_ref[i] - v_cur)
-            u_cur = float(np.clip(raw, -1.0, 1.0))
+            u_cur = min(max(raw, -1.0), 1.0)
             # First-order armature: tau di/dt = (u V - k_emf*(-ydot) - R i)/R
             emf = p["k_emf"] * (-v_cur)
             di = (u_cur * p["v_supply"] - emf - p["resistance"] * current) / (
                 p["resistance"] * p["tau_elec"]
             )
-            current += cfg.dt * di
-            sensor[i] = raw
-        f_cur = actuator_force(cfg, y_cur, v_cur, u_cur, current) if in_contact else 0.0
-        a_cur = -cfg.g + f_cur / cfg.m
+            current += dt * di
+        f_cur = leg_force(y_cur, v_cur, u_cur, current) if in_contact else 0.0
+        a_cur = -g + f_cur / m
 
-        y[i], v[i], acc[i] = y_cur, v_cur, a_cur
-        u_arr[i], force[i], contact[i] = u_cur, f_cur, in_contact
+        rows.append((y_cur, v_cur, a_cur, u_cur, f_cur, raw if is_dc else f_cur, in_contact))
         if not is_dc:
-            sensor[i] = f_cur
-            stim = float(np.clip(p["gain_f"] * f_cur + p["bias"], 0.0, 1.0))
-            u_cur = u_cur + (cfg.dt / p["tau_act"]) * (stim - u_cur)
-            u_cur = float(np.clip(u_cur, 0.0, 1.0))
+            stim = min(max(p["gain_f"] * f_cur + p["bias"], 0.0), 1.0)
+            u_cur = u_cur + (dt / p["tau_act"]) * (stim - u_cur)
+            u_cur = min(max(u_cur, 0.0), 1.0)
 
-        v_cur = v_cur + cfg.dt * a_cur
-        y_cur = y_cur + cfg.dt * v_cur
-        if not (np.isfinite(y_cur) and np.isfinite(v_cur)):
+        v_cur = v_cur + dt * a_cur
+        y_cur = y_cur + dt * v_cur
+        if not (math.isfinite(y_cur) and math.isfinite(v_cur)):
             raise IntegrationError(f"state blew up at step {i}")
 
+    y, v, acc, u, force, sensor, contact = np.array(rows, dtype=float).T.copy()
     return HopperTrace(
-        t=t, y=y, ydot=v, yddot=acc, u=u_arr, force=force,
-        sensor=sensor, contact=contact, actuator=cfg.actuator, dt=cfg.dt,
+        t=np.arange(n) * cfg.dt, y=y, ydot=v, yddot=acc, u=u, force=force,
+        sensor=sensor, contact=contact.astype(bool), actuator=cfg.actuator, dt=cfg.dt,
     )
 
 

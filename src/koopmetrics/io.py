@@ -72,7 +72,7 @@ class ModelRecord:
 
     ``series`` and ``aux`` are what identify lifted: ``build_observables``
     of them gives the model's observables, one constant row, the primary
-    rows and, with ``aux`` enabled, one auxiliary row per snapshot. A record
+    rows and, unless ``aux`` is None, one auxiliary row per snapshot. A record
     whose layout does not give ``model.n_psi`` rows, or whose series and
     model disagree on dt, is a ValueError. ``one_step_residual`` is
     identify's relative one-step fit residual ||Psi' - K Psi||_F / ||Psi'||_F.
@@ -80,14 +80,14 @@ class ModelRecord:
 
     model: KoopmanModel
     series: PrimarySeries
-    aux: AuxiliaryConfig
+    aux: AuxiliaryConfig | None
     one_step_residual: float
 
     def __post_init__(self):
         n_primary, n_steps = self.series.values.shape
-        if self.aux.enabled and len(self.aux.theta) != n_primary:
+        if self.aux is not None and len(self.aux.theta) != n_primary:
             raise ValueError(f"{len(self.aux.theta)} theta values for {n_primary} primary rows")
-        n_aux = n_steps if self.aux.enabled else 0
+        n_aux = 0 if self.aux is None else n_steps
         if self.model.n_psi != 1 + n_primary + n_aux:
             raise ValueError(
                 f"nPsi {self.model.n_psi} != 1 constant + {n_primary} primary "
@@ -178,7 +178,7 @@ def save_model(record: ModelRecord, path: str) -> None:
         "ridge": m.ridge,
         "layout": {
             "names": list(record.series.names),
-            "theta": list(aux.theta) if aux.enabled else None,
+            "theta": None if aux is None else list(aux.theta),
         },
         "eigCondition": m.condition_number,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
@@ -237,7 +237,7 @@ def load_model(path: str) -> ModelRecord:
                     values=_read_member(archive, "primary", None, "<f8"),
                     dt=dt,
                 ),
-                aux=AuxiliaryConfig.disabled() if theta is None else AuxiliaryConfig(theta),
+                aux=None if theta is None else AuxiliaryConfig(theta),
                 one_step_residual=float(doc["diagnostics"]["oneStepResidual"]),
             )
         except FileFormatError:

@@ -86,19 +86,15 @@ class PrimarySeries:
 
 @dataclass(frozen=True)
 class AuxiliaryConfig:
-    """Correlation-feature settings: one positive width theta_k per primary row."""
+    """Correlation-feature settings: one positive width theta_k per primary row.
+    Where an ``AuxiliaryConfig | None`` is taken, None means no auxiliary rows."""
 
     theta: tuple[float, ...]
-    enabled: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-        if self.enabled and any(t <= 0 for t in self.theta):
+        if any(t <= 0 for t in self.theta):
             raise ValueError(f"theta entries must be positive, got {self.theta}")
-
-    @classmethod
-    def disabled(cls) -> "AuxiliaryConfig":
-        return cls(theta=(), enabled=False)
 
 
 @dataclass
@@ -123,7 +119,7 @@ class ObservableMatrix:
         self.names = tuple(self.names)
         if self.has_constant and not np.all(self.psi[0] == 1.0):
             raise ValueError("constant row (index 0) must be exactly ones")
-        if self.aux is not None and self.aux.enabled:
+        if self.aux is not None:
             aux_block = self.psi[self.aux_start :]
             if aux_block.size and (
                 np.min(aux_block.real) < 0.0 or np.max(aux_block.real) > 1.0
@@ -218,16 +214,16 @@ def correlation_features(
     return out
 
 
-def build_observables(primary: PrimarySeries, aux: AuxiliaryConfig) -> ObservableMatrix:
+def build_observables(primary: PrimarySeries, aux: AuxiliaryConfig | None) -> ObservableMatrix:
     """Assemble the observable matrix: constant row, primary rows, aux rows.
 
-    With auxiliaries enabled the lifted dimension is
+    With auxiliaries (``aux`` not None) the lifted dimension is
     1 + n_primary + n_steps (one aux row per training time step).
     """
     blocks = [np.ones((1, primary.n_steps))]
     blocks.append(primary.values)
     snapshots = None
-    if aux.enabled:
+    if aux is not None:
         if len(aux.theta) != primary.n_primary:
             raise ValueError(
                 f"{len(aux.theta)} theta values for {primary.n_primary} primary observables"
@@ -239,7 +235,7 @@ def build_observables(primary: PrimarySeries, aux: AuxiliaryConfig) -> Observabl
         names=primary.names,
         has_constant=True,
         n_primary=primary.n_primary,
-        aux=aux if aux.enabled else None,
+        aux=aux,
         train_snapshots=snapshots,
         dt=primary.dt,
     )
@@ -260,7 +256,7 @@ def lift_columns(obs: ObservableMatrix, primary_columns: np.ndarray) -> np.ndarr
     if obs.has_constant:
         blocks.append(np.ones((1, cols.shape[1])))
     blocks.append(cols)
-    if obs.aux is not None and obs.aux.enabled:
+    if obs.aux is not None:
         blocks.append(correlation_features(cols, obs.train_snapshots, obs.aux.theta))
     return np.vstack(blocks)
 
@@ -383,7 +379,7 @@ def free_run(K, psi0, steps: int) -> np.ndarray:
 def holdout_error(
     train: PrimarySeries,
     holdout: PrimarySeries,
-    aux: AuxiliaryConfig,
+    aux: AuxiliaryConfig | None,
     ridge: float | None = None,
 ) -> float:
     """Free-running relative prediction error on a holdout segment.

@@ -208,7 +208,7 @@ class TestCompare:
         rng = np.random.default_rng(8)
         paths = []
         for n_primary, n_steps, aux in ((1, 5, koopman.AuxiliaryConfig((1.0,))),
-                                        (6, 3, koopman.AuxiliaryConfig.disabled())):
+                                        (6, 3, None)):
             series = koopman.PrimarySeries(tuple(f"p{i}" for i in range(n_primary)),
                                            rng.standard_normal((n_primary, n_steps)), 0.1)
             model = koopman.decompose(rng.standard_normal((7, 7)), 0.1)
@@ -456,7 +456,10 @@ class TestExitCodes:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
-        "flag", [["--steps", "2"], ["--dt", "0"], ["--set", "bogus=1"], ["--bins", "1"]]
+        "flag",
+        [["--steps", "2"], ["--dt", "0"], ["--set", "bogus=1"], ["--bins", "1"],
+         ["--set", "tau_act=0"], ["--set", "dl_width=0"], ["--set", "f_max=nan"],
+         ["--dt", "nan"], ["--actuator", "dc", "--auto-reference", "--set", "resistance=0"]],
     )
     def test_bad_hopper_settings_are_usage_errors(self, tmp_path, capsys, flag):
         code = main(["hopping", "--actuator", "nlm", "--output-prefix", str(tmp_path / "h")]
@@ -476,9 +479,16 @@ class TestExitCodes:
             ["benchmark-sweep", "--dt", "0"],
             ["benchmark-sweep", "--steps", "1"],
             ["benchmark-sweep", "--parallel", "0"],
+            ["identify", "--dt", "inf"],
+            ["identify", "--theta", "inf,1,1"],
+            ["identify", "--ridge", "inf"],
+            ["benchmark-sweep", "--dt", "nan"],
+            ["benchmark-sweep", "--x0", "nan,1"],
+            ["benchmark-sweep", "--alpha-max", "inf"],
         ],
         ids=["ridge", "theta", "theta-grid", "identify-dt", "train-steps-zero", "sweep-dt",
-             "sweep-steps", "sweep-parallel"],
+             "sweep-steps", "sweep-parallel", "identify-dt-inf", "theta-inf", "ridge-inf",
+             "sweep-dt-nan", "sweep-x0-nan", "sweep-alpha-max-inf"],
     )
     def test_out_of_range_flags_are_usage_errors(self, tmp_path, capsys, argv):
         csv, out = tmp_path / "lin.csv", tmp_path / "out"

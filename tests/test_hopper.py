@@ -1,5 +1,7 @@
 """Hopping simulation, world-state binning, and information measures."""
+import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from koopmetrics.hopper import (
     Actuator,
     HopperConfig,
     HopperTrace,
+    IntegrationError,
     actuator_force,
     apex_heights,
     export_primary,
@@ -90,8 +93,37 @@ class TestActuatorForce:
         with pytest.raises(ValueError, match="unknown actuator parameters"):
             HopperConfig(params={"warp": 1.0}).actuator_params()
 
+    def test_replace_merges_the_new_actuator_defaults(self):
+        cfg = replace(HopperConfig(params={"f_max": 70.0}), actuator="lm")
+        assert cfg.actuator_params() == HopperConfig(
+            actuator="lm", params={"f_max": 70.0}
+        ).actuator_params()
+
+
+# sha256 over the bytes of t, y, ydot, yddot, u, force, sensor and contact,
+# in that order, of the three default traces.
+TRACE_SHA256 = {
+    "nlm": "77964bb9f99958308f80ca09eacda31f74d64e4f88b562955a2bbfcf226788f7",
+    "lm": "3eafe816b09e4d2b82f9b4af57af3a895d55b0a9d008458cda3965d921c6046e",
+    "dc": "d7ccf8e4236aa9de7ae1acb85f9a3f485fa4b1a8943fd022a455d24ba5160df1",
+}
+
 
 class TestSimulate:
+    @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+    def test_default_traces_bit_for_bit(self, request, name):
+        trace = request.getfixturevalue(f"{name}_trace")
+        digest = hashlib.sha256()
+        for arr in (trace.t, trace.y, trace.ydot, trace.yddot, trace.u,
+                    trace.force, trace.sensor, trace.contact):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == TRACE_SHA256[name]
+
+    def test_state_blow_up_raises(self):
+        # F / m overflows to inf on the first contact step.
+        with pytest.raises(IntegrationError, match="state blew up at step 78"):
+            simulate_hopping(HopperConfig(m=1e-308))
+
     def test_ballistic_when_force_disabled(self):
         cfg = HopperConfig(params={"f_max": 0.0}, steps=60, y_init=1.5)
         trace = simulate_hopping(cfg)

@@ -88,7 +88,7 @@ def model_header(record):
         "ridge": m.ridge,
         "layout": {
             "names": list(record.series.names),
-            "theta": list(aux.theta) if aux.enabled else None,
+            "theta": None if aux is None else list(aux.theta),
         },
         "eigCondition": m.condition_number,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
@@ -136,7 +136,7 @@ def real_record(rng, n, n_steps=15):
     """Record of a real K (closed under conjugation) and a real series."""
     model, _ = real_system(rng, n, n_steps)
     return ModelRecord(model=model, series=series_for(rng, n, n_steps),
-                       aux=AuxiliaryConfig.disabled(), one_step_residual=0.5)
+                       aux=None, one_step_residual=0.5)
 
 
 @pytest.fixture
@@ -147,7 +147,7 @@ def record(rng):
     return ModelRecord(
         model=model,
         series=PrimarySeries(names=("a", "b", "c"), values=rng.standard_normal((3, 15)), dt=0.1),
-        aux=AuxiliaryConfig.disabled(),
+        aux=None,
         one_step_residual=1.25e-7,
     )
 
@@ -533,7 +533,7 @@ class TestModelFile:
         n = 200
         model = decompose(rng.standard_normal((n, n)), dt=0.1)
         rec = ModelRecord(model=model, series=series_for(rng, n, 5),
-                          aux=AuxiliaryConfig.disabled(), one_step_residual=0.5)
+                          aux=None, one_step_residual=0.5)
         path = str(tmp_path / "model.npz")
         save_model(rec, path)
 

@@ -372,7 +372,7 @@ class TestFitTheta:
         hold = hold.window(0, 200)
         fitted = fit_theta(train, hold, grid=[0.05, 0.5, 5.0])
         err_fitted = holdout_error(train, hold, fitted)
-        err_plain = holdout_error(train, hold, AuxiliaryConfig.disabled())
+        err_plain = holdout_error(train, hold, None)
         assert err_fitted < err_plain
 
     def test_rejects_empty_grid(self):
