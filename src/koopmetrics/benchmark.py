@@ -138,18 +138,17 @@ def simulate_observables(
 
 def benchmark_system(
     p: BenchmarkParams, system: str
-) -> tuple[KoopmanModel, EigenfunctionTrajectory, ObservableMatrix]:
-    """Generator-spectrum model plus sampled eigenfunction trajectory."""
+) -> tuple[KoopmanModel, EigenfunctionTrajectory]:
+    """Generator-spectrum model plus sampled eigenfunction trajectory, which carries Psi."""
     k_f, k_g = analytic_generators(p)
     model = decompose(k_f if system == "f" else k_g, p.dt)
-    obs = simulate_observables(model, p, system)
-    return model, eigenfunction_trajectories(model, obs), obs
+    return model, eigenfunction_trajectories(model, simulate_observables(model, p, system))
 
 
 def compare_pair(p: BenchmarkParams, normalization: str = "f") -> conjugacy.ConjugacyReport:
     """Compare system f against system g at the params' alpha, beta."""
-    model_f, phi_f, _ = benchmark_system(p, "f")
-    model_g, phi_g, _ = benchmark_system(p, "g")
+    model_f, phi_f = benchmark_system(p, "f")
+    model_g, phi_g = benchmark_system(p, "g")
     return conjugacy.compare(model_f, phi_f, model_g, phi_g, normalization)
 
 
@@ -167,7 +166,7 @@ def _sweep_point(args) -> tuple:
     alpha, beta, p, (model_f, phi_f) = args
     point = replace(p, alpha=float(alpha), beta=float(beta))
     try:
-        model_g, phi_g, _ = benchmark_system(point, "g")
+        model_g, phi_g = benchmark_system(point, "g")
         report = conjugacy.compare(model_f, phi_f, model_g, phi_g, "f")
         c = report.corners
         c_r2 = c.c_r2
@@ -208,7 +207,7 @@ def sweep(
     betas = np.asarray(beta_values, dtype=float)
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("sweep ranges must be nonempty")
-    f = benchmark_system(p, "f")[:2]
+    f = benchmark_system(p, "f")
     points = [(a, b, p, f) for a in alphas for b in betas]
     workers = min(parallel, os.cpu_count() or 1, -(-len(points) // SWEEP_CHUNK))
     if workers > 1:

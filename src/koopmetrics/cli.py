@@ -179,16 +179,15 @@ def cmd_compare(args) -> int:
             "procrustesRank": diag.procrustes_rank,
             "procrustesSigmaMin": diag.procrustes_sigma_min,
         },
-        "timings": {"totalSeconds": time.perf_counter() - started},
     }
     if args.emit_matrices:
-        doc["matrices"] = {
-            "C_r1": io.encode_complex(corners.c_r1),
-            "C_r2": io.encode_complex(corners.c_r2),
-            "T_C_r1": io.encode_complex(report.t_c_r1),
-            "T_C_r2": io.encode_complex(report.t_c_r2),
-            "T_LSQ": io.encode_complex(report.t_lsq),
-        }
+        t_lsq = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
+        mats = {"C_r1": corners.c_r1, "C_r2": corners.c_r2}
+        for name, c in list(mats.items()):
+            mats[f"T_{name}"] = conjugacy.recover_t(c, rec_a.model, rec_b.model, phi_a.psi, phi_b.psi, t_lsq)
+        mats["T_LSQ"] = t_lsq
+        doc["matrices"] = {name: io.encode_complex(m) for name, m in mats.items()}
+    doc["timings"] = {"totalSeconds": time.perf_counter() - started}
     io.save_report(doc, args.output)
     print(
         f"d_min {devs.d_min:.9g}  d_avg {devs.d_avg:.9g}  d_max {devs.d_max:.9g}"

@@ -18,7 +18,8 @@ transform T_C = (Omega W_g)^-1 C W_f, with Omega the diagonal that brings
 T_C as close as possible to the plain least squares map T_LSQ = Psi_g Psi_f+.
 W is invertible and C unitary, so (C W_f)^-1 = R_f C* with R = W^-1, the
 right eigenvectors each model holds with W: nothing here inverts or solves
-with W.
+with W. ``compare`` fits T_C Psi_f = R_g Omega^-1 C (W_f Psi_f) in O(n^2 T)
+and keeps no T; ``lsq_transform`` and ``recover_t`` build them on request.
 
 Their operator residuals ||K_f - T^-1 K_g T||_F need neither K nor a solve
 with T: K = R Lambda W (gated by ``decompose``) and T_C^-1 = R_f C* Omega W_g
@@ -38,11 +39,10 @@ Phi_b = Q Phi in O(n T): rows that are exact conjugates come out real, any
 others go through Q in complex arithmetic. Every residual above is
 invariant under these unitary changes of basis, C becomes C_b = Q_g C Q_f*,
 and Psi is the trajectory's own, so for real systems with real data the
-Procrustes SVD, both pseudoinverses, T_LSQ, M, both pull-backs and all
-operator and trajectory residuals are real products. The spectrum side
+Procrustes SVD, both pseudoinverses, T_LSQ, M, both fits' pull-backs and
+all operator and trajectory residuals are real products. The spectrum side
 stays complex: the assignment, gamma, C_r2 and Omega^-1 link to a real
-basis through the 2x2 blocks of Q D Q*. The reported C's, T's and gamma
-are complex as ever.
+basis through the 2x2 blocks of Q D Q*; reported C's and gamma are complex.
 """
 from __future__ import annotations
 
@@ -156,9 +156,6 @@ class ConjugacyReport:
     deviations: DeviationTriple
     normalization: str
     ref_norms: tuple[float, float]
-    t_c_r1: np.ndarray
-    t_c_r2: np.ndarray
-    t_lsq: np.ndarray
     diagnostics: CompareDiagnostics
     psi_residuals: dict[str, tuple[float | None, float]] = field(default_factory=dict)
 
@@ -457,7 +454,7 @@ def recover_t(
 
     T_C = (Omega W_g)^-1 C W_f with Omega^-1 = Diag(W_g T_LSQ R_f C*), whose
     near-zero entries carry no information and are replaced by 1 (with a
-    warning); see the module docstring.
+    warning). Built in complex arithmetic; see the module docstring.
     """
     if t_lsq is None:
         t_lsq = lsq_transform(psi_f, psi_g)
@@ -467,13 +464,13 @@ def recover_t(
     return _pull_back(omega_inv, c @ model_f.W, model_g.R, COMPLEX_BASIS)[0]
 
 
-def _pull_back(omega_inv, c_w_f, r_g, basis_g: EigenBasis) -> tuple[np.ndarray, int]:
-    """(T_C = R_g Omega^-1 C W_f, number of Omega^-1 entries replaced by 1).
+def _pull_back(omega_inv, c_x, r_g, basis_g: EigenBasis) -> tuple[np.ndarray, int]:
+    """(R_g Omega^-1 C X, number of Omega^-1 entries replaced by 1).
 
-    ``omega_inv`` = Diag(M C*) with M = W_g T_LSQ R_f, and ``c_w_f`` = C W_f,
+    ``omega_inv`` = Diag(M C*) with M = W_g T_LSQ R_f, and ``c_x`` = C X,
     both with the rows of g's complex eigenbasis; ``r_g`` is R_g in
-    ``basis_g``, so that T_C = r_g Q_g Omega^-1 C W_f. ``c_w_f`` is scaled
-    in place.
+    ``basis_g``. X = W_f gives T_C; X = W_f Psi_f gives T_C Psi_f, in
+    O(n^2 T). ``c_x`` is scaled in place.
     """
     tiny = np.abs(omega_inv) < OMEGA_ZERO_TOL
     replaced = int(tiny.sum())
@@ -486,8 +483,8 @@ def _pull_back(omega_inv, c_w_f, r_g, basis_g: EigenBasis) -> tuple[np.ndarray, 
         omega_inv[tiny] = 1.0
     # Omega^-1 as the left operand, as ever: numpy's complex product need
     # not be bitwise commutative.
-    np.multiply(omega_inv[:, None], c_w_f, out=c_w_f)
-    return _matmul(r_g, basis_g.rows_in(c_w_f)), replaced
+    np.multiply(omega_inv[:, None], c_x, out=c_x)
+    return _matmul(r_g, basis_g.rows_in(c_x)), replaced
 
 
 def _operator_residual(r_f, w_f, bracket: np.ndarray, basis_f: EigenBasis) -> float:
@@ -512,8 +509,8 @@ def compare(
     Solves both corner transformations, evaluates the four residuals
     (optionally divided by the reference system's ||Phi||_F and ||Lambda||_F
     when ``normalization`` is "f" or "g"), forms the deviation triple, and
-    recovers the observable-space transforms T_C and T_LSQ together with
-    their residuals. Both corners are always computed; coincidence is
+    reports the residuals of the observable-space transforms T_C and T_LSQ
+    without forming T_C. Both corners are always computed; coincidence is
     reported through the numbers rather than assumed. C_r2 enters every
     step as (permutation, gamma), and the operator residuals come from the
     eigenbasis, which needs no K; each system runs in its model's own basis.
@@ -576,21 +573,32 @@ def compare(
     )
     deviations = pareto_deviations(corners)
 
+    def fit(t_psi_f) -> float:
+        return float(np.linalg.norm(phi_g.psi - t_psi_f))
+
     t_lsq, lsq_rank = lsq_transform(phi_f.psi, phi_g.psi, return_rank=True)
+    # At rank T, pinv(Psi_f) Psi_f = I_T: T_LSQ fits Psi_g exactly.
+    fit_lsq = 0.0 if lsq_rank == pf.shape[1] else fit(_matmul(t_lsq, phi_f.psi))
     # M = W_g T_LSQ R_f, so that T_LSQ = R_g M W_f. Omega^-1 = Diag(M C*)
     # takes M and C with the rows of g's complex eigenbasis.
     m_b = w_g_b @ t_lsq @ r_f_b
     m_rows = bg.rows_out(m_b)
     omega_c1 = np.einsum("ij,ij->i", m_rows, c1_rows.conj())
     omega_c2 = bf.cols_out_at(m_rows, inv_pi) * gamma.conj()
-    # Peak memory: no n x n temporary outlives its use in the pull-backs.
-    del pf_b, pg_b, m_rows, c1_rows
-    t_c1, replaced_c1 = _pull_back(omega_c1, bg.rows_out(c1_b @ w_f_b), r_g_b, bg)
-    t_c2, replaced_c2 = _pull_back(omega_c2, gamma[:, None] * bf.rows_out(w_f_b)[inv_pi], r_g_b, bg)
+    # Peak memory: no n x n or n x T temporary outlives its use.
+    del pf_b, pg_b, m_rows, c1_rows, t_lsq
     operator_lsq = None  # T_LSQ is singular below full rank
     if lsq_rank == n:
         bracket_lsq = np.linalg.solve(m_b, bg.scale_rows(lg, m_b)) - bf.diag(lf)
         operator_lsq = _operator_residual(r_f_b, w_f_b, bracket_lsq, bf)
+    # T_C Psi_f = R_g Omega^-1 C (W_f Psi_f), and W_f Psi_f = Phi_f / scales.
+    c_w_psi_f = bg.rows_out(c1_b @ bf.rows_in(pf / phi_f.scales[:, None]))
+    t_psi_f, replaced_c1 = _pull_back(omega_c1, c_w_psi_f, r_g_b, bg)
+    fit_c1 = fit(t_psi_f)
+    del t_psi_f, c_w_psi_f
+    c_w_psi_f = pf[inv_pi]
+    c_w_psi_f *= (gamma / phi_f.scales[inv_pi])[:, None]
+    t_psi_f, replaced_c2 = _pull_back(omega_c2, c_w_psi_f, r_g_b, bg)
     procrustes_rank = numerical_rank(sigma)
     diagnostics = CompareDiagnostics(
         unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
@@ -600,24 +608,16 @@ def compare(
         procrustes_rank=procrustes_rank,
         procrustes_sigma_min=float(sigma[procrustes_rank - 1]) if procrustes_rank else 0.0,
     )
-
-    def fit(t) -> float:
-        return float(np.linalg.norm(phi_g.psi - _matmul(t, phi_f.psi)))
-
     residuals = {
-        "T_C_r1": (operator_c1, fit(t_c1)),
-        "T_C_r2": (_operator_residual(r_f_b, w_f_b, bracket_c2, bf), fit(t_c2)),
-        # At rank T, pinv(Psi_f) Psi_f = I_T: T_LSQ fits Psi_g exactly.
-        "T_LSQ": (operator_lsq, 0.0 if lsq_rank == pf.shape[1] else fit(t_lsq)),
+        "T_C_r1": (operator_c1, fit_c1),
+        "T_C_r2": (_operator_residual(r_f_b, w_f_b, bracket_c2, bf), fit(t_psi_f)),
+        "T_LSQ": (operator_lsq, fit_lsq),
     }
     return ConjugacyReport(
         corners=corners,
         deviations=deviations,
         normalization=normalization,
         ref_norms=(phi_norm, lam_norm),
-        t_c_r1=t_c1.astype(complex, copy=False),
-        t_c_r2=t_c2.astype(complex, copy=False),
-        t_lsq=t_lsq.astype(complex, copy=False),
         diagnostics=diagnostics,
         psi_residuals=residuals,
     )

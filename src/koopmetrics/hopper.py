@@ -80,11 +80,12 @@ class HopperConfig:
 
     ``params`` overrides individual entries of the per-actuator defaults. The
     merge is resolved and checked once, here, so no parameter of a config
-    that exists fails later: ValueError unless dt is finite and positive,
-    each override a known key with a finite value, and the divisors dl_width,
-    v_max and tau_act (muscles) or resistance and tau_elec (DC motor)
-    positive. The DC motor needs ``reference``: the (y, ydot) arrays it
-    should track, normally recorded from a nonlinear-muscle run.
+    that exists fails later: ValueError unless m, g, l0, dt, y_init and
+    v_init are finite, m, l0 and dt positive, y_init above l0, each override
+    a known key with a finite value, and the divisors dl_width, v_max and
+    tau_act (muscles) or resistance and tau_elec (DC motor) positive. The DC
+    motor needs ``reference``: the (y, ydot) arrays it should track,
+    normally recorded from a nonlinear-muscle run.
     """
 
     m: float = 1.0
@@ -101,8 +102,10 @@ class HopperConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "actuator", Actuator(self.actuator))
-        if not (self.m > 0 and self.l0 > 0 and 0 < self.dt < math.inf):
-            raise ValueError("m, l0 and dt must be positive and dt finite")
+        if not all(map(math.isfinite, (self.m, self.g, self.l0, self.dt, self.y_init, self.v_init))):
+            raise ValueError("m, g, l0, dt, y_init and v_init must be finite")
+        if not (self.m > 0 and self.l0 > 0 and self.dt > 0):
+            raise ValueError("m, l0 and dt must be positive")
         if self.steps < 3:
             raise ValueError("steps must be at least 3")
         if self.y_init <= self.l0:

@@ -15,6 +15,7 @@ from koopmetrics.benchmark import (
     simulate_observables,
     sweep,
 )
+from koopmetrics.conjugacy import compare, lsq_transform, recover_t
 from koopmetrics.linalg import eig
 
 # Transform recovered at exact conjugacy with the default start (g launched
@@ -151,17 +152,25 @@ class TestPublishedValues:
         assert report.deviations.d_min == pytest.approx(1.05, abs=0.05)
         assert report.deviations.d_max == pytest.approx(1.31, abs=0.05)
 
+    @staticmethod
+    def transforms(p):
+        """(T_C_r1, T_LSQ) of the f-g pair at p, built from compare's C_r1."""
+        (model_f, phi_f), (model_g, phi_g) = benchmark_system(p, "f"), benchmark_system(p, "g")
+        report = compare(model_f, phi_f, model_g, phi_g, "f")
+        t_lsq = lsq_transform(phi_f.psi, phi_g.psi)
+        return recover_t(report.corners.c_r1, model_f, model_g, phi_f.psi, phi_g.psi, t_lsq), t_lsq
+
     def test_transform_recovery_at_conjugacy_default_start(self):
-        report = compare_pair(BenchmarkParams())
-        rel = np.linalg.norm(report.t_c_r1 - report.t_lsq) / np.linalg.norm(report.t_lsq)
+        t_c_r1, t_lsq = self.transforms(BenchmarkParams())
+        rel = np.linalg.norm(t_c_r1 - t_lsq) / np.linalg.norm(t_lsq)
         assert rel < 1e-6
-        np.testing.assert_allclose(report.t_c_r1, T_CONJUGATE, atol=1e-8)
-        np.testing.assert_allclose(report.t_lsq, T_CONJUGATE, atol=1e-8)
+        np.testing.assert_allclose(t_c_r1, T_CONJUGATE, atol=1e-8)
+        np.testing.assert_allclose(t_lsq, T_CONJUGATE, atol=1e-8)
 
     def test_transform_recovery_reference_start(self):
-        report = compare_pair(BenchmarkParams(x0=(2.0, 1.0), y0=(0.0, -1.0)))
-        assert np.max(np.abs(report.t_c_r1 - T_REFERENCE)) < 1e-2
-        rel = np.linalg.norm(report.t_c_r1 - report.t_lsq) / np.linalg.norm(report.t_lsq)
+        t_c_r1, t_lsq = self.transforms(BenchmarkParams(x0=(2.0, 1.0), y0=(0.0, -1.0)))
+        assert np.max(np.abs(t_c_r1 - T_REFERENCE)) < 1e-2
+        rel = np.linalg.norm(t_c_r1 - t_lsq) / np.linalg.norm(t_lsq)
         assert rel < 1e-6
 
     def test_asymmetric_psi_space_tradeoff(self):

@@ -1,5 +1,6 @@
 """Residuals, corner solvers, rectangle geometry, and the full comparison."""
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -243,8 +244,8 @@ class TestSolveCr2:
         from koopmetrics.benchmark import BenchmarkParams, benchmark_system
 
         p = BenchmarkParams(steps=300)
-        model_f, phi_f, _ = benchmark_system(p, "f")
-        model_g, phi_g, _ = benchmark_system(p, "g")
+        model_f, phi_f = benchmark_system(p, "f")
+        model_g, phi_g = benchmark_system(p, "g")
         c, _, _ = solve_c_r2(phi_f.phi, phi_g.phi, model_f.lambdas, model_g.lambdas)
         assert residual_r2(model_f.lambdas, model_g.lambdas, c) < 1e-9
         assert residual_r1(phi_f.phi, phi_g.phi, c) < 1e-8
@@ -488,11 +489,25 @@ class TestCompare:
 
     @pytest.mark.parametrize("make", [random_system, real_system])
     def test_t_lsq_fits_the_carried_psi(self, rng, make):
-        # T_LSQ = Psi_g pinv(Psi_f) of the observables that were mapped, bit
-        # for bit: no Psi is rebuilt from Phi.
+        # The T_LSQ fit is that of Psi_g pinv(Psi_f) on the observables that
+        # were mapped, bit for bit: no Psi is rebuilt from Phi.
         (model_f, phi_f), (model_g, phi_g) = make(rng, 6, 20), make(rng, 6, 20)
         report = compare(model_f, phi_f, model_g, phi_g)
-        np.testing.assert_array_equal(report.t_lsq, lsq_transform(phi_f.psi, phi_g.psi))
+        t_lsq = lsq_transform(phi_f.psi, phi_g.psi)
+        assert report.psi_residuals["T_LSQ"][1] == np.linalg.norm(phi_g.psi - t_lsq @ phi_f.psi)
+
+    def test_report_holds_no_observable_space_transform(self, rng):
+        # Of the n x n arrays compare forms, the report keeps only C_r1;
+        # T_C and T_LSQ are built on request (lsq_transform, recover_t).
+        (model_f, phi_f), (model_g, phi_g) = random_system(rng, 200, 250), random_system(rng, 200, 250)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = compare(model_f, phi_f, model_g, phi_g)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= report.corners.c_r1.nbytes + 256 * 1024
 
     def test_dimension_mismatch_rejected(self, rng):
         model_a, phi_a = random_system(rng, 4, 20)
@@ -564,10 +579,14 @@ class TestPsiSpace:
         cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
         tol = n * np.finfo(float).eps * cond
         corners = report.corners
+        # The transforms as ``--emit-matrices`` builds them, from the carried Psi.
+        transforms = {"T_LSQ": lsq_transform(phi_f.psi, phi_g.psi)}
+        for name, c in (("T_C_r1", corners.c_r1), ("T_C_r2", corners.c_r2)):
+            transforms[name] = recover_t(c, model_f, model_g, phi_f.psi, phi_g.psi, transforms["T_LSQ"])
         for got, want in (
-            (report.t_lsq, t_lsq),
-            (report.t_c_r1, pull_back(corners.c_r1)),
-            (report.t_c_r2, pull_back(corners.c_r2)),
+            (transforms["T_LSQ"], t_lsq),
+            (transforms["T_C_r1"], pull_back(corners.c_r1)),
+            (transforms["T_C_r2"], pull_back(corners.c_r2)),
             (recover_t(corners.c_r1, model_f, model_g, psi_f, psi_g), pull_back(corners.c_r1)),
         ):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -576,7 +595,7 @@ class TestPsiSpace:
         # with each T in observable space must give the same numbers, up to
         # the cond(T) that the solve itself loses. K = R Lambda W to rounding.
         k_f, k_g = ((m.R * m.lambdas) @ m.W for m in (model_f, model_g))
-        for name, t in (("T_C_r1", report.t_c_r1), ("T_C_r2", report.t_c_r2), ("T_LSQ", report.t_lsq)):
+        for name, t in transforms.items():
             got = report.psi_residuals[name][0]
             if name == "T_LSQ" and n_steps < n:
                 assert got is None
@@ -682,15 +701,19 @@ class TestStructuredCr2MatchesDense:
         assert diag.assignment_cost == assignment_cost(lf, lg, pi)
         assert (diag.lsq_rank < n) if fewer_steps else (diag.lsq_rank == n)
 
-        psi_f = model_f.R @ (phi_f.phi / phi_f.scales[:, None])
-        psi_g = model_g.R @ (phi_g.phi / phi_g.scales[:, None])
+        # compare fits T_C Psi_f = R_g Omega^-1 C (W_f Psi_f) without forming
+        # T_C; the fit of the dense T_C that recover_t builds is the reference.
+        psi_f, psi_g = phi_f.psi, phi_g.psi
+        t_lsq = lsq_transform(psi_f, psi_g)
         cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            t_c1 = recover_t(corners.c_r1, model_f, model_g, psi_f, psi_g, report.t_lsq)
-            t_c2 = recover_t(c2, model_f, model_g, psi_f, psi_g, report.t_lsq)
-        np.testing.assert_array_equal(report.t_c_r1, t_c1)
-        assert np.linalg.norm(report.t_c_r2 - t_c2) <= n * eps * cond * np.linalg.norm(t_c2)
+            t_c1 = recover_t(corners.c_r1, model_f, model_g, psi_f, psi_g, t_lsq)
+            t_c2 = recover_t(c2, model_f, model_g, psi_f, psi_g, t_lsq)
+        for name, t in (("T_C_r1", t_c1), ("T_C_r2", t_c2)):
+            want = np.linalg.norm(psi_g - t @ psi_f)
+            got = report.psi_residuals[name][1]
+            assert abs(got - want) <= n * eps * cond * np.linalg.norm(t) * np.linalg.norm(psi_f)
 
 
 class TestRealBasis:
@@ -742,6 +765,14 @@ class TestRealBasis:
         psi_f = reconstruct_observables(model_f, phi_f)
         psi_g = reconstruct_observables(model_g, phi_g)
         t_lsq = lsq_transform(psi_f, psi_g)
+        # The fits' reference: ||Psi_g - T Psi_f|| of the carried Psi, with
+        # the dense T that recover_t builds from the complex helpers' C.
+        carried_f, carried_g = phi_f.psi, phi_g.psi
+        psi_scale = np.linalg.norm(carried_f)
+
+        def fit(t):
+            return np.linalg.norm(carried_g - t @ carried_f)
+
         m = model_g.W @ t_lsq @ model_f.R
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -775,7 +806,7 @@ class TestRealBasis:
         cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W) * np.linalg.cond(psi_f)
         omega = np.abs(np.diag(m @ c2.conj().T))
         t_tol = n * eps * cond * np.linalg.norm(m, 2) / omega.min()
-        assert np.linalg.norm(report.t_c_r2 - t_c2) <= t_tol * np.linalg.norm(t_c2)
+        assert abs(report.psi_residuals["T_C_r2"][1] - fit(t_c2)) <= t_tol * np.linalg.norm(t_c2) * psi_scale
         if fewer_steps:
             # Phi_g Phi_f* is rank-deficient: C_r1, and with it r2(C_r1),
             # d_avg, d_max, T_C_r1 and T_LSQ's residuals, depend on its null block.
@@ -790,5 +821,7 @@ class TestRealBasis:
             assert abs(got - exact) <= tol * cond_c1 * (phi_scale + lam_scale)
         omega = np.abs(np.diag(m @ c1.conj().T))
         t_tol = n * eps * cond * np.linalg.norm(m, 2) / omega.min()
-        assert np.linalg.norm(report.t_c_r1 - t_c1) <= t_tol * cond_c1 * np.linalg.norm(t_c1)
-        assert np.linalg.norm(report.t_lsq - t_lsq) <= n * eps * cond * np.linalg.norm(t_lsq)
+        t_c1_tol = t_tol * cond_c1 * np.linalg.norm(t_c1) * psi_scale
+        assert abs(report.psi_residuals["T_C_r1"][1] - fit(t_c1)) <= t_c1_tol
+        t_lsq_tol = n * eps * cond * np.linalg.norm(t_lsq) * psi_scale
+        assert abs(report.psi_residuals["T_LSQ"][1] - fit(t_lsq)) <= t_lsq_tol

@@ -1,5 +1,6 @@
 """Hopping simulation, world-state binning, and information measures."""
 import hashlib
+import math
 import warnings
 from dataclasses import replace
 
@@ -167,6 +168,17 @@ class TestSimulate:
     def test_initial_height_validated(self):
         with pytest.raises(ValueError, match="exceed"):
             HopperConfig(y_init=0.9)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("g", math.nan), ("v_init", math.inf), ("y_init", math.nan), ("y_init", math.inf),
+         ("m", math.inf), ("l0", math.inf)],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        # Each of these once built a config that failed at step 0, or (m = inf)
+        # simulated a trace on which the leg force had no effect.
+        with pytest.raises(ValueError, match="must be finite"):
+            HopperConfig(**{field: value})
 
 
 class TestWorldStates:

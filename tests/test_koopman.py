@@ -298,7 +298,7 @@ class TestEigenfunctions:
 
     def test_benchmark_rows_are_geometric(self):
         p = BenchmarkParams(steps=400)
-        model, phi, _ = benchmark_system(p, "f")
+        model, phi = benchmark_system(p, "f")
         growth = np.exp(model.lambdas * p.dt)
         predicted = phi.phi[:, :1] * growth[:, None] ** np.arange(400)[None, :]
         assert np.linalg.norm(predicted - phi.phi) / np.linalg.norm(phi.phi) < 1e-9
