@@ -163,11 +163,11 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _sweep_point(args) -> tuple:
-    alpha, beta, p, (model_f, phi_f) = args
+    alpha, beta, p, f = args
     point = replace(p, alpha=float(alpha), beta=float(beta))
     try:
-        model_g, phi_g = benchmark_system(point, "g")
-        report = conjugacy.compare(model_f, phi_f, model_g, phi_g, "f")
+        g = conjugacy.prepare(*benchmark_system(point, "g"))
+        report = conjugacy.compare_prepared(f, g, "f")
         c = report.corners
         c_r2 = c.c_r2
         c_gap = float(np.linalg.norm(c.c_r1 - c_r2) / np.linalg.norm(c_r2))
@@ -197,17 +197,20 @@ def sweep(
 ) -> list[tuple]:
     """Deviation table over an (alpha, beta) grid, one row per point.
 
-    System f depends on neither alpha nor beta, so it is built once (a failure
-    there raises); each point builds only g, and a failure there becomes its
-    row. At most ``parallel`` workers run, and no more than the CPUs or the
-    chunks of SWEEP_CHUNK points. Rows are sorted by (alpha, beta), so any
-    worker count yields identical output.
+    System f depends on neither alpha nor beta, so it is built, prepared and
+    factorized once (a failure there raises), and every point, in any
+    worker, compares against that one prepared f. Each point builds only g,
+    and a failure there becomes its row. At most ``parallel`` workers run,
+    and no more than the CPUs or the chunks of SWEEP_CHUNK points. Rows are
+    sorted by (alpha, beta), so any worker count yields identical output.
     """
     alphas = np.asarray(alpha_values, dtype=float)
     betas = np.asarray(beta_values, dtype=float)
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("sweep ranges must be nonempty")
-    f = benchmark_system(p, "f")
+    f = conjugacy.prepare(*benchmark_system(p, "f"))
+    # Factorize f now, before any worker receives a pickled copy of it.
+    f.pinv_phi_b, f.pinv_psi
     points = [(a, b, p, f) for a in alphas for b in betas]
     workers = min(parallel, os.cpu_count() or 1, -(-len(points) // SWEEP_CHUNK))
     if workers > 1:

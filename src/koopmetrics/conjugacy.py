@@ -34,7 +34,7 @@ closed form (its bracket is that diagonal), and its unitarity defect is
 
 Real systems run in real arithmetic. Each model holds W_b = Q W and
 R_b = R Q* in its own basis (``linalg.EigenBasis``; Q = I for a complex
-model), and ``compare`` takes them as they are and moves Phi in as
+model), and ``prepare`` takes them as they are and moves Phi in as
 Phi_b = Q Phi in O(n T): rows that are exact conjugates come out real, any
 others go through Q in complex arithmetic. Every residual above is
 invariant under these unitary changes of basis, C becomes C_b = Q_g C Q_f*,
@@ -43,11 +43,22 @@ Procrustes SVD, both pseudoinverses, T_LSQ, M, both fits' pull-backs and
 all operator and trajectory residuals are real products. The spectrum side
 stays complex: the assignment, gamma, C_r2 and Omega^-1 link to a real
 basis through the 2x2 blocks of Q D Q*; reported C's and gamma are complex.
+
+The work splits into per-system and per-pair parts. ``prepare`` does the
+per-system part once: the complex spectrum and Phi_b, in O(n T). Two
+factorizations depend on the reference system f alone, since
+pinv(P Phi_f) = pinv(Phi_f) P^T: pinv(Phi_f) for gamma and pinv(Psi_f) for
+T_LSQ. A ``PreparedSystem`` computes each on first use and keeps it, so a
+system that only plays g factorizes nothing. ``compare_prepared`` does the
+rest for each pair: the Procrustes SVD, the assignment, gamma as an O(n T)
+diagonal, M, the fits and every residual. ``compare`` is the two together,
+for a single pair.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -318,11 +329,13 @@ def solve_gamma(phi_f, phi_g, permutation) -> np.ndarray:
     The unconstrained least squares factor is Phi_g (P Phi_f)+; keeping only
     its diagonal and projecting each entry to the unit circle is the unitary
     polar factor of that diagonal. P Phi_f is the row gather Phi_f[pi^-1],
-    and only the diagonal of the product is formed. Entries with modulus
-    below GAMMA_ZERO_TOL carry no phase information and default to 1.
+    so (P Phi_f)+ = Phi_f+ P^T is the column gather Phi_f+[:, pi^-1]: one
+    pseudoinverse per system, whatever the permutation. Only the diagonal
+    of the product is formed. Entries with modulus below GAMMA_ZERO_TOL
+    carry no phase information and default to 1.
     """
     pf, pg = _pair(phi_f, phi_g)
-    return _phases(pg, pinv(pf[np.argsort(permutation)]))
+    return _phases(pg, pinv(pf)[:, np.argsort(permutation)])
 
 
 def _phases(pg, pinv_aligned) -> np.ndarray:
@@ -497,6 +510,47 @@ def _operator_residual(r_f, w_f, bracket: np.ndarray, basis_f: EigenBasis) -> fl
     return float(np.linalg.norm(_matmul(left, w_f)))
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedSystem:
+    """One system with the work ``compare`` does on it alone; see ``prepare``.
+
+    ``lambdas`` is the complex spectrum and ``phi_b`` = Q Phi (Phi itself,
+    not a copy, for a complex model). The pseudoinverses, needed only of
+    the reference system f, are computed on first use and kept.
+    """
+
+    model: KoopmanModel
+    trajectory: EigenfunctionTrajectory
+    lambdas: np.ndarray
+    phi_b: np.ndarray
+
+    @cached_property
+    def pinv_phi_b(self) -> np.ndarray:
+        """pinv(Phi_b), real in a real basis; pinv(Phi) = pinv(Phi_b) Q."""
+        return pinv(self.phi_b)
+
+    @cached_property
+    def pinv_psi(self) -> tuple[np.ndarray, int]:
+        """(pinv(Psi), numerical rank of Psi), for T_LSQ = Psi_g pinv(Psi_f)."""
+        return pinv(self.trajectory.psi, return_rank=True)
+
+
+def prepare(model: KoopmanModel, trajectory: EigenfunctionTrajectory) -> PreparedSystem:
+    """The system, shared and not copied, ready for ``compare_prepared``, in O(n T).
+
+    The trajectory must be an EigenfunctionTrajectory of the model: T_LSQ
+    and the fits use the Psi it carries.
+    """
+    if not isinstance(trajectory, EigenfunctionTrajectory):
+        raise TypeError("compare needs EigenfunctionTrajectory inputs, which carry their Psi")
+    lambdas = np.ravel(model.lambdas).astype(complex, copy=False)
+    if trajectory.phi.shape[0] != lambdas.shape[0]:
+        raise ValueError(
+            f"trajectory has {trajectory.phi.shape[0]} rows for {lambdas.shape[0]} eigenvalues"
+        )
+    return PreparedSystem(model, trajectory, lambdas, model.basis.rows_in(trajectory.phi))
+
+
 def compare(
     model_f: KoopmanModel,
     phi_f: EigenfunctionTrajectory,
@@ -506,6 +560,18 @@ def compare(
 ) -> ConjugacyReport:
     """Full deviation-from-conjugacy comparison of two identified systems.
 
+    ``compare_prepared`` of the two prepared systems; see there. To compare
+    one system f against several g's, prepare f once and call
+    ``compare_prepared`` directly.
+    """
+    return compare_prepared(prepare(model_f, phi_f), prepare(model_g, phi_g), normalization)
+
+
+def compare_prepared(
+    f: PreparedSystem, g: PreparedSystem, normalization: str = "none"
+) -> ConjugacyReport:
+    """Deviation-from-conjugacy comparison of two prepared systems.
+
     Solves both corner transformations, evaluates the four residuals
     (optionally divided by the reference system's ||Phi||_F and ||Lambda||_F
     when ``normalization`` is "f" or "g"), forms the deviation triple, and
@@ -514,34 +580,30 @@ def compare(
     reported through the numbers rather than assumed. C_r2 enters every
     step as (permutation, gamma), and the operator residuals come from the
     eigenbasis, which needs no K; each system runs in its model's own basis.
-    See the module docstring. The trajectories must be
-    EigenfunctionTrajectory objects: T_LSQ and the fits use the Psi they carry.
+    See the module docstring. Only f's factorizations are used, and they
+    are computed on f's first comparison; everything else here is per pair.
     """
     if normalization not in ("none", "f", "g"):
         raise ValueError(f"normalization must be 'none', 'f' or 'g', got {normalization!r}")
-    if not all(isinstance(p, EigenfunctionTrajectory) for p in (phi_f, phi_g)):
-        raise TypeError("compare needs EigenfunctionTrajectory inputs, which carry their Psi")
+    phi_f, phi_g = f.trajectory, g.trajectory
     pf, pg = phi_f.phi, phi_g.phi
     if pf.shape != pg.shape:
         raise ValueError(
             f"systems must share dimensions, got {pf.shape} vs {pg.shape}"
         )
     n = pf.shape[0]
-    lf, lg = _spectra(model_f.lambdas, model_g.lambdas)
+    lf, lg = f.lambdas, g.lambdas
     # Arrays with a _b suffix are in the models' bases: real canonical or complex.
-    bf, w_f_b, r_f_b = model_f.basis, model_f.W_b, model_f.R_b
-    bg, w_g_b, r_g_b = model_g.basis, model_g.W_b, model_g.R_b
-    pf_b, pg_b = bf.rows_in(pf), bg.rows_in(pg)
-    c1_b, sigma = solve_c_r1(pf_b, pg_b, return_singular_values=True)
+    bf, w_f_b, r_f_b = f.model.basis, f.model.W_b, f.model.R_b
+    bg, w_g_b, r_g_b = g.model.basis, g.model.W_b, g.model.R_b
+    c1_b, sigma = solve_c_r1(f.phi_b, g.phi_b, return_singular_values=True)
     c1_rows = bg.rows_out(c1_b)
     c1 = bf.cols_out(c1_rows)
     pi = solve_permutation(lf, lg)
-    # Row k of C_r2 X is gamma_k X[inv_pi[k]].
+    # Row k of C_r2 X is gamma_k X[inv_pi[k]]. As in solve_gamma,
+    # pinv(P Phi_f) = pinv(Phi_f)[:, inv_pi], and pinv(Phi_f) = pinv(Phi_f_b) Q_f.
     inv_pi = np.argsort(pi)
-    # pinv(P Phi_f) = pinv(Phi_f)[:, inv_pi], and pinv(Phi_f) = pinv(Phi_f_re) Q_f.
-    # Gathering the basis rows by inv_pi first keeps the complex basis's
-    # arithmetic that of solve_gamma.
-    gamma = _phases(pg, bf.cols_out(pinv(pf_b[inv_pi])[:, pi])[:, inv_pi])
+    gamma = _phases(pg, bf.cols_out(f.pinv_phi_b)[:, inv_pi])
 
     if normalization == "f":
         phi_norm = float(np.linalg.norm(pf))
@@ -566,39 +628,46 @@ def compare(
         c_r1=c1,
         permutation=pi,
         gamma=gamma,
-        r1_at_cr1=residual_r1(pf_b, pg_b, c1_b) / phi_norm,
+        r1_at_cr1=residual_r1(f.phi_b, g.phi_b, c1_b) / phi_norm,
         r2_at_cr1=float(np.linalg.norm(bracket_c1)) / lam_norm,
         r1_at_cr2=float(np.linalg.norm(pg - gamma[:, None] * pf[inv_pi])) / phi_norm,
         r2_at_cr2=float(np.linalg.norm(bracket_c2)) / lam_norm,
     )
     deviations = pareto_deviations(corners)
+    del bracket_c1
 
     def fit(t_psi_f) -> float:
         return float(np.linalg.norm(phi_g.psi - t_psi_f))
 
-    t_lsq, lsq_rank = lsq_transform(phi_f.psi, phi_g.psi, return_rank=True)
+    pinv_psi_f, lsq_rank = f.pinv_psi
+    t_lsq = _matmul(phi_g.psi, pinv_psi_f)
     # At rank T, pinv(Psi_f) Psi_f = I_T: T_LSQ fits Psi_g exactly.
     fit_lsq = 0.0 if lsq_rank == pf.shape[1] else fit(_matmul(t_lsq, phi_f.psi))
     # M = W_g T_LSQ R_f, so that T_LSQ = R_g M W_f. Omega^-1 = Diag(M C*)
     # takes M and C with the rows of g's complex eigenbasis.
     m_b = w_g_b @ t_lsq @ r_f_b
+    del t_lsq
     m_rows = bg.rows_out(m_b)
     omega_c1 = np.einsum("ij,ij->i", m_rows, c1_rows.conj())
     omega_c2 = bf.cols_out_at(m_rows, inv_pi) * gamma.conj()
     # Peak memory: no n x n or n x T temporary outlives its use.
-    del pf_b, pg_b, m_rows, c1_rows, t_lsq
+    del m_rows, c1_rows
     operator_lsq = None  # T_LSQ is singular below full rank
     if lsq_rank == n:
         bracket_lsq = np.linalg.solve(m_b, bg.scale_rows(lg, m_b)) - bf.diag(lf)
         operator_lsq = _operator_residual(r_f_b, w_f_b, bracket_lsq, bf)
+        del bracket_lsq
+    del m_b
     # T_C Psi_f = R_g Omega^-1 C (W_f Psi_f), and W_f Psi_f = Phi_f / scales.
     c_w_psi_f = bg.rows_out(c1_b @ bf.rows_in(pf / phi_f.scales[:, None]))
     t_psi_f, replaced_c1 = _pull_back(omega_c1, c_w_psi_f, r_g_b, bg)
     fit_c1 = fit(t_psi_f)
-    del t_psi_f, c_w_psi_f
+    del t_psi_f, c_w_psi_f, c1_b
     c_w_psi_f = pf[inv_pi]
     c_w_psi_f *= (gamma / phi_f.scales[inv_pi])[:, None]
     t_psi_f, replaced_c2 = _pull_back(omega_c2, c_w_psi_f, r_g_b, bg)
+    fit_c2 = fit(t_psi_f)
+    del t_psi_f, c_w_psi_f
     procrustes_rank = numerical_rank(sigma)
     diagnostics = CompareDiagnostics(
         unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
@@ -610,7 +679,7 @@ def compare(
     )
     residuals = {
         "T_C_r1": (operator_c1, fit_c1),
-        "T_C_r2": (_operator_residual(r_f_b, w_f_b, bracket_c2, bf), fit(t_psi_f)),
+        "T_C_r2": (_operator_residual(r_f_b, w_f_b, bracket_c2, bf), fit_c2),
         "T_LSQ": (operator_lsq, fit_lsq),
     }
     return ConjugacyReport(

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from koopmetrics import benchmark
+from koopmetrics import benchmark, conjugacy, linalg
 from koopmetrics.benchmark import (
     BenchmarkParams,
     analytic_generators,
@@ -234,16 +234,26 @@ class TestSweep:
 
     def test_f_built_once_and_rows_match_compare_pair(self, monkeypatch):
         real, calls = benchmark.benchmark_system, []
+        real_svd, svds = linalg.svd, []
 
         def counted(params, system):
             calls.append(system)
             return real(params, system)
 
+        def counted_svd(m):
+            svds.append(np.shape(m))
+            return real_svd(m)
+
         p = BenchmarkParams(steps=200)
         monkeypatch.setattr(benchmark, "benchmark_system", counted)
+        # svd is bound in linalg (pinv calls it there) and in conjugacy.
+        for module in (linalg, conjugacy):
+            monkeypatch.setattr(module, "svd", counted_svd)
         rows = sweep([0.9, 1.0], [0.95, 1.1], p)
         monkeypatch.undo()
         assert calls.count("f") == 1 and calls.count("g") == 4
+        # One Procrustes SVD per point, and f's two pseudoinverses once.
+        assert len(svds) == 4 + 2
         for alpha, beta, *values in rows:
             devs = compare_pair(replace(p, alpha=alpha, beta=beta)).deviations
             assert tuple(values[:3]) == (devs.d_min, devs.d_avg, devs.d_max)

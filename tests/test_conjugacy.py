@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from koopmetrics import conjugacy
 from koopmetrics.conjugacy import (
     ContractViolationError,
     ParetoCorners,
     _assignment,
     assignment_cost,
     compare,
+    compare_prepared,
     lsq_transform,
     mean_corner_distance,
     pareto_deviations,
     permutation_matrix,
+    prepare,
     recover_t,
     residual_r1,
     residual_r2,
@@ -514,6 +517,59 @@ class TestCompare:
         model_b, phi_b = random_system(rng, 5, 20)
         with pytest.raises(ValueError, match="dimensions"):
             compare(model_a, phi_a, model_b, phi_b)
+        # A trajectory of another model's size is rejected when it is prepared.
+        with pytest.raises(ValueError, match="5 rows for 4 eigenvalues"):
+            compare(model_a, phi_b, model_b, phi_b)
+
+
+def assert_reports_identical(got, want):
+    """Every field of two reports, bit for bit."""
+    for name in ("c_r1", "permutation", "gamma"):
+        np.testing.assert_array_equal(getattr(got.corners, name), getattr(want.corners, name))
+    for name in ("r1_at_cr1", "r2_at_cr1", "r1_at_cr2", "r2_at_cr2"):
+        assert getattr(got.corners, name) == getattr(want.corners, name)
+    assert got.deviations == want.deviations
+    assert (got.normalization, got.ref_norms) == (want.normalization, want.ref_norms)
+    assert got.diagnostics == want.diagnostics
+    assert got.psi_residuals == want.psi_residuals
+
+
+class TestPrepared:
+    @pytest.mark.parametrize("make", [random_system, real_system])
+    def test_one_prepared_f_matches_fresh_compares(self, rng, make):
+        # One f, prepared once, against a complex, a real and a like g: each
+        # report equals a fresh compare of the pair, and f is left as it was.
+        model_f, phi_f = make(rng, 10, 24)
+        before = [a.copy() for a in (model_f.W_b, model_f.R_b, phi_f.phi, phi_f.psi)]
+        f = prepare(model_f, phi_f)
+        assert f.model is model_f and f.trajectory is phi_f
+        assert (f.phi_b is phi_f.phi) == (not model_f.basis.is_real)
+        for model_g, phi_g in (g_make(rng, 10, 24) for g_make in (random_system, real_system, make)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = compare_prepared(f, prepare(model_g, phi_g), "f")
+                want = compare(model_f, phi_f, model_g, phi_g, "f")
+            assert_reports_identical(got, want)
+        after = (model_f.W_b, model_f.R_b, phi_f.phi, phi_f.psi)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
+
+    def test_system_used_only_as_g_computes_no_pseudoinverse(self, rng, monkeypatch):
+        (model_f, phi_f), (model_g, phi_g) = random_system(rng, 8, 20), random_system(rng, 8, 20)
+        f, g = prepare(model_f, phi_f), prepare(model_g, phi_g)
+        calls, real_pinv = [], conjugacy.pinv
+
+        def counted(m, **kwargs):
+            calls.append(m.shape)
+            return real_pinv(m, **kwargs)
+
+        monkeypatch.setattr(conjugacy, "pinv", counted)
+        compare_prepared(f, g)
+        compare_prepared(f, g)
+        # pinv(Phi_f) and pinv(Psi_f), on f's first comparison only.
+        assert len(calls) == 2
+        assert {"pinv_phi_b", "pinv_psi"} <= vars(f).keys()
+        assert not {"pinv_phi_b", "pinv_psi"} & vars(g).keys()
 
 
 class TestPsiSpace:
