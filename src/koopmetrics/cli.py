@@ -11,13 +11,13 @@ the first min(T_a, T_b) snapshots of each model's series to Phi = W Psi, as
 the library does, and compares them.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or I/O error
-(out-of-range or non-finite flag values and unreadable or malformed files included).
+(out-of-range, non-finite or conflicting flag values and missing, unreadable
+or malformed files included). ``main`` alone maps a failure to its exit code.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -63,18 +63,17 @@ def _positive_floats(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
-def _require_file(path: str) -> str:
-    if not os.path.exists(path):
-        raise UsageFailure(f"input file not found: {path}")
-    return path
-
-
 def cmd_identify(args) -> int:
     if args.dt is not None and not args.dt > 0:
         raise UsageFailure(f"--dt must be positive, got {args.dt:g}")
     if args.ridge is not None and not args.ridge >= 0:
         raise UsageFailure(f"--ridge must be nonnegative, got {args.ridge:g}")
-    series = io.read_trajectory_csv(_require_file(args.input), dt=args.dt)
+    theta_flags = {"--no-aux": not args.aux, "--theta": args.theta is not None,
+                   "--fit-theta": args.fit_theta}
+    given = [flag for flag, on in theta_flags.items() if on]
+    if len(given) > 1:
+        raise UsageFailure(f"cannot combine {', '.join(given)}")
+    series = io.read_trajectory_csv(args.input, dt=args.dt)
     train_steps = series.n_steps if args.train_steps is None else args.train_steps
     if not 2 <= train_steps <= series.n_steps:
         raise UsageFailure(
@@ -124,8 +123,8 @@ def cmd_identify(args) -> int:
 
 def cmd_compare(args) -> int:
     started = time.perf_counter()
-    rec_a = io.load_model(_require_file(args.model_a))
-    rec_b = io.load_model(_require_file(args.model_b))
+    rec_a = io.load_model(args.model_a)
+    rec_b = io.load_model(args.model_b)
     if rec_a.model.n_psi != rec_b.model.n_psi:
         raise UsageFailure(
             f"model dimensions differ: {rec_a.model.n_psi} vs {rec_b.model.n_psi}"
@@ -184,7 +183,7 @@ def cmd_compare(args) -> int:
         t_lsq = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
         mats = {"C_r1": corners.c_r1, "C_r2": corners.c_r2}
         for name, c in list(mats.items()):
-            mats[f"T_{name}"] = conjugacy.recover_t(c, rec_a.model, rec_b.model, phi_a.psi, phi_b.psi, t_lsq)
+            mats[f"T_{name}"] = conjugacy.recover_t(c, rec_a.model, rec_b.model, t_lsq)
         mats["T_LSQ"] = t_lsq
         doc["matrices"] = {name: io.encode_complex(m) for name, m in mats.items()}
     doc["timings"] = {"totalSeconds": time.perf_counter() - started}
@@ -252,7 +251,7 @@ def cmd_hopping(args) -> int:
 
     if actuator is hopper.Actuator.DC_MOTOR:
         if args.reference_trace:
-            ref_series = io.read_trajectory_csv(_require_file(args.reference_trace))
+            ref_series = io.read_trajectory_csv(args.reference_trace)
             names = list(ref_series.names)
             if "y" not in names or "ydot" not in names:
                 raise UsageFailure(
@@ -273,11 +272,7 @@ def cmd_hopping(args) -> int:
             )
         cfg = replace(cfg, reference=reference)
 
-    try:
-        trace = hopper.simulate_hopping(cfg)
-    except hopper.IntegrationError as exc:
-        print(f"simulation unstable: {exc}", file=sys.stderr)
-        return COMPUTE_EXIT
+    trace = hopper.simulate_hopping(cfg)
     mc = hopper.morphological_computation(trace, bins=args.bins)
     primary = hopper.export_primary(trace, mc)
 

@@ -45,14 +45,14 @@ stays complex: the assignment, gamma, C_r2 and Omega^-1 link to a real
 basis through the 2x2 blocks of Q D Q*; reported C's and gamma are complex.
 
 The work splits into per-system and per-pair parts. ``prepare`` does the
-per-system part once: the complex spectrum and Phi_b, in O(n T). Two
-factorizations depend on the reference system f alone, since
-pinv(P Phi_f) = pinv(Phi_f) P^T: pinv(Phi_f) for gamma and pinv(Psi_f) for
-T_LSQ. A ``PreparedSystem`` computes each on first use and keeps it, so a
-system that only plays g factorizes nothing. ``compare_prepared`` does the
-rest for each pair: the Procrustes SVD, the assignment, gamma as an O(n T)
-diagonal, M, the fits and every residual. ``compare`` is the two together,
-for a single pair.
+per-system part once: Phi_b, in O(n T); the complex spectrum is the
+model's own. Two factorizations depend on the reference system f alone,
+since pinv(P Phi_f) = pinv(Phi_f) P^T: pinv(Phi_f) for gamma and
+pinv(Psi_f) for T_LSQ. A ``PreparedSystem`` computes each on first use and
+keeps it, so a system that only plays g factorizes nothing.
+``compare_prepared`` does the rest for each pair: the Procrustes SVD, the
+assignment, gamma as an O(n T) diagonal, M, the fits and every residual.
+``compare`` is the two together, for a single pair.
 """
 from __future__ import annotations
 
@@ -442,35 +442,20 @@ def pareto_deviations(corners: ParetoCorners) -> DeviationTriple:
     return DeviationTriple(d_min=d_min, d_avg=d_avg, d_max=d_max)
 
 
-def lsq_transform(psi_f, psi_g, return_rank: bool = False):
-    """Plain least squares observable-space map T_LSQ = Psi_g Psi_f+.
-
-    Real input stays real. With ``return_rank`` the result is (T_LSQ,
-    numerical rank of Psi_f), the rank taken from the pseudoinverse's own
-    singular values; below n it makes T_LSQ singular.
-    """
+def lsq_transform(psi_f, psi_g) -> np.ndarray:
+    """Plain least squares observable-space map T_LSQ = Psi_g Psi_f+; real input stays real."""
     pf, pg = _pair(psi_f, psi_g)
-    pinv_f, rank = pinv(pf, return_rank=True)
-    t = pg @ pinv_f
-    return (t, rank) if return_rank else t
+    return pg @ pinv(pf)
 
 
-def recover_t(
-    c,
-    model_f: KoopmanModel,
-    model_g: KoopmanModel,
-    psi_f,
-    psi_g,
-    t_lsq: np.ndarray | None = None,
-) -> np.ndarray:
+def recover_t(c, model_f: KoopmanModel, model_g: KoopmanModel, t_lsq: np.ndarray) -> np.ndarray:
     """Pull a unitary eigenfunction-space C back to observable space.
 
-    T_C = (Omega W_g)^-1 C W_f with Omega^-1 = Diag(W_g T_LSQ R_f C*), whose
-    near-zero entries carry no information and are replaced by 1 (with a
-    warning). Built in complex arithmetic; see the module docstring.
+    T_C = (Omega W_g)^-1 C W_f with Omega^-1 = Diag(W_g T_LSQ R_f C*), for
+    the T_LSQ = ``lsq_transform(psi_f, psi_g)`` of the two trajectories.
+    Near-zero entries of Omega^-1 carry no information and are replaced by
+    1 (with a warning). Built in complex arithmetic; see the module docstring.
     """
-    if t_lsq is None:
-        t_lsq = lsq_transform(psi_f, psi_g)
     c = np.asarray(c, dtype=complex)
     m = model_g.W @ t_lsq @ model_f.R
     omega_inv = np.einsum("ij,ij->i", m, c.conj())
@@ -514,14 +499,13 @@ def _operator_residual(r_f, w_f, bracket: np.ndarray, basis_f: EigenBasis) -> fl
 class PreparedSystem:
     """One system with the work ``compare`` does on it alone; see ``prepare``.
 
-    ``lambdas`` is the complex spectrum and ``phi_b`` = Q Phi (Phi itself,
-    not a copy, for a complex model). The pseudoinverses, needed only of
-    the reference system f, are computed on first use and kept.
+    ``phi_b`` = Q Phi in the model's basis (Phi itself, not a copy, for a
+    complex model); the spectrum is the model's. The pseudoinverses, needed
+    only of the reference system f, are computed on first use and kept.
     """
 
     model: KoopmanModel
     trajectory: EigenfunctionTrajectory
-    lambdas: np.ndarray
     phi_b: np.ndarray
 
     @cached_property
@@ -543,12 +527,11 @@ def prepare(model: KoopmanModel, trajectory: EigenfunctionTrajectory) -> Prepare
     """
     if not isinstance(trajectory, EigenfunctionTrajectory):
         raise TypeError("compare needs EigenfunctionTrajectory inputs, which carry their Psi")
-    lambdas = np.ravel(model.lambdas).astype(complex, copy=False)
-    if trajectory.phi.shape[0] != lambdas.shape[0]:
+    if trajectory.phi.shape[0] != model.n_psi:
         raise ValueError(
-            f"trajectory has {trajectory.phi.shape[0]} rows for {lambdas.shape[0]} eigenvalues"
+            f"trajectory has {trajectory.phi.shape[0]} rows for {model.n_psi} eigenvalues"
         )
-    return PreparedSystem(model, trajectory, lambdas, model.basis.rows_in(trajectory.phi))
+    return PreparedSystem(model, trajectory, model.basis.rows_in(trajectory.phi))
 
 
 def compare(
@@ -592,7 +575,7 @@ def compare_prepared(
             f"systems must share dimensions, got {pf.shape} vs {pg.shape}"
         )
     n = pf.shape[0]
-    lf, lg = f.lambdas, g.lambdas
+    lf, lg = f.model.lambdas, g.model.lambdas
     # Arrays with a _b suffix are in the models' bases: real canonical or complex.
     bf, w_f_b, r_f_b = f.model.basis, f.model.W_b, f.model.R_b
     bg, w_g_b, r_g_b = g.model.basis, g.model.W_b, g.model.R_b
@@ -671,7 +654,7 @@ def compare_prepared(
     procrustes_rank = numerical_rank(sigma)
     diagnostics = CompareDiagnostics(
         unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
-        assignment_cost=assignment_cost(lf, lg, pi),
+        assignment_cost=float(np.sum(np.abs(bracket_c2) ** 2)),
         lsq_rank=lsq_rank,
         omega_replaced={"T_C_r1": replaced_c1, "T_C_r2": replaced_c2},
         procrustes_rank=procrustes_rank,

@@ -323,14 +323,12 @@ def _joint_counts(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return flat.reshape(sx, sy), xc, yc
 
 
-def mutual_information(x_sym, y_sym, support: tuple[int, int] | None = None) -> float:
+def mutual_information(x_sym, y_sym) -> float:
     """Plug-in mutual information of two symbol streams, in bits.
 
     Estimated from the empirical joint distribution; empty cells contribute
-    zero (``support`` only declares the nominal alphabet sizes, it does not
-    change the estimate). Marginals are taken from the joint, so the value
-    matches the average of the pointwise information over the same samples
-    exactly.
+    zero. Marginals are taken from the joint, so the value matches the
+    average of the pointwise information over the same samples exactly.
     """
     x = np.asarray(x_sym, dtype=int)
     y = np.asarray(y_sym, dtype=int)
@@ -338,9 +336,6 @@ def mutual_information(x_sym, y_sym, support: tuple[int, int] | None = None) -> 
         raise ValueError("symbol streams must be equal-length 1-D arrays")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    if support is not None:
-        if x.max() >= support[0] or y.max() >= support[1]:
-            raise ValueError("symbols exceed the declared support")
     counts, _, _ = _joint_counts(x, y)
     total = counts.sum()
     px = counts.sum(axis=1) / total

@@ -8,12 +8,13 @@ the path given. Member ``header`` is a 0-d str array holding a JSON object:
 ``nPsi``, ``dt``, ``ridge``, ``eigCondition``, ``layout`` (the observable
 ``names`` and the correlation widths ``theta``, or null without auxiliary
 rows) and ``diagnostics`` (``oneStepResidual``). ``W`` is the model's W_b,
-``<f8`` in the real basis that ``linalg.conjugate_basis`` rebuilds from
-``Lambda`` and ``<c16`` in the complex one. ``Lambda`` and ``primary`` (the
-training series, one row per name and one column per snapshot) keep their
-dtype, ``<f8`` or ``<c16`` (only ``<f8`` for ``primary``); all load back bit
-for bit. Each member's npy header is checked (dtype, shape against
-``nPsi``, data bytes against the member's size) before its data is read.
+and its dtype tells the model which basis it is in: ``<f8`` for the real
+canonical basis of ``Lambda``, ``<c16`` for the complex one
+(``linalg.EigResult``). ``Lambda``, ``<f8`` or ``<c16``, loads as a complex
+vector of the same values, and ``primary`` (``<f8``, the training series,
+one row per name and one column per snapshot) as it is: all bit for bit.
+Each member's npy header is checked (dtype, shape against ``nPsi``, data
+bytes against the member's size) before its data is read.
 Neither K nor R is stored: loading inverts W_b once. A W without a finite
 inverse, a ``<f8`` W whose ``Lambda`` is not closed under conjugation, a
 non-finite entry, a layout that does not lift to ``nPsi`` rows, and files
@@ -46,7 +47,6 @@ from .koopman import (
     build_observables,
     eigenfunction_trajectories,
 )
-from .linalg import COMPLEX_BASIS, conjugate_basis
 
 MODEL_SCHEMA_VERSION = 5
 REPORT_SCHEMA_VERSION = 1
@@ -214,16 +214,10 @@ def load_model(path: str) -> ModelRecord:
             if n < 1:
                 raise ValueError(f"nPsi must be positive, got {n}")
             dt = float(doc["dt"])
-            lambdas = _read_member(archive, "Lambda", (n,), ARRAY_DTYPES)
-            w_b = _read_member(archive, "W", (n, n), ARRAY_DTYPES)
-            basis = COMPLEX_BASIS if np.iscomplexobj(w_b) else conjugate_basis(lambdas)
-            if not np.iscomplexobj(w_b) and not basis.is_real:
-                raise ValueError("W: <f8, but Lambda is not closed under conjugation")
-            # R_b = W_b^-1 is formed here, once, by the model.
+            # The model works out its basis and forms R_b = W_b^-1 here, once.
             model = KoopmanModel(
-                lambdas=lambdas,
-                basis=basis,
-                W_b=w_b,
+                lambdas=_read_member(archive, "Lambda", (n,), ARRAY_DTYPES),
+                W_b=_read_member(archive, "W", (n, n), ARRAY_DTYPES),
                 condition_number=float(doc["eigCondition"]),
                 ridge=float(doc["ridge"]),
                 dt=dt,
@@ -250,7 +244,7 @@ def save_report(report_doc: dict, path: str) -> None:
     doc = dict(report_doc)
     doc["schemaVersion"] = REPORT_SCHEMA_VERSION
     devs = doc.get("deviations", {})
-    if devs and not (devs["dMin"] <= devs["dAvg"] + 1e-12 <= devs["dMax"] + 2e-12):
+    if devs and not devs["dMin"] <= devs["dAvg"] <= devs["dMax"]:
         raise ValueError("refusing to store report with unordered deviations")
     atomic_write_text(path, json.dumps(doc, indent=1))
 

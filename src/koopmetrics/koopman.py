@@ -214,14 +214,21 @@ def correlation_features(
     return out
 
 
+def _lift(cols, has_constant: bool, aux: AuxiliaryConfig | None, snapshots) -> np.ndarray:
+    """The observable layout: [constant row; primary rows ``cols``; correlation features]."""
+    blocks = [np.ones((1, cols.shape[1]))] if has_constant else []
+    blocks.append(cols)
+    if aux is not None:
+        blocks.append(correlation_features(cols, snapshots, aux.theta))
+    return np.vstack(blocks)
+
+
 def build_observables(primary: PrimarySeries, aux: AuxiliaryConfig | None) -> ObservableMatrix:
     """Assemble the observable matrix: constant row, primary rows, aux rows.
 
     With auxiliaries (``aux`` not None) the lifted dimension is
     1 + n_primary + n_steps (one aux row per training time step).
     """
-    blocks = [np.ones((1, primary.n_steps))]
-    blocks.append(primary.values)
     snapshots = None
     if aux is not None:
         if len(aux.theta) != primary.n_primary:
@@ -229,9 +236,8 @@ def build_observables(primary: PrimarySeries, aux: AuxiliaryConfig | None) -> Ob
                 f"{len(aux.theta)} theta values for {primary.n_primary} primary observables"
             )
         snapshots = primary.values.copy()
-        blocks.append(correlation_features(primary.values, snapshots, aux.theta))
     return ObservableMatrix(
-        psi=np.vstack(blocks),
+        psi=_lift(primary.values, True, aux, snapshots),
         names=primary.names,
         has_constant=True,
         n_primary=primary.n_primary,
@@ -252,13 +258,7 @@ def lift_columns(obs: ObservableMatrix, primary_columns: np.ndarray) -> np.ndarr
         raise ValueError(
             f"expected {obs.n_primary} primary rows, got {cols.shape[0]}"
         )
-    blocks = []
-    if obs.has_constant:
-        blocks.append(np.ones((1, cols.shape[1])))
-    blocks.append(cols)
-    if obs.aux is not None:
-        blocks.append(correlation_features(cols, obs.train_snapshots, obs.aux.theta))
-    return np.vstack(blocks)
+    return _lift(cols, obs.has_constant, obs.aux, obs.train_snapshots)
 
 
 def default_ridge(obs: ObservableMatrix) -> float:
@@ -320,7 +320,8 @@ def decompose(K, dt: float, ridge: float = 0.0) -> KoopmanModel:
                 f"left-eigenvector residual {residual:.3e} exceeds "
                 f"{bound:.3e} ({LEFT_RESIDUAL_FACTOR:g} n eps cond(R))"
             )
-    return KoopmanModel(**vars(res), ridge=float(ridge), dt=float(dt))
+    return KoopmanModel(lambdas=res.lambdas, W_b=res.W_b, R_b=res.R_b,
+                        condition_number=res.condition_number, ridge=float(ridge), dt=float(dt))
 
 
 def eigenfunction_trajectories(

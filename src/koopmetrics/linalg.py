@@ -15,7 +15,7 @@ upstream is generic: they are non-normal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ import numpy as np
 # numerically defective.
 EIG_CONDITION_LIMIT = 1e12
 
+# pinv and numerical_rank treat singular values up to this times the largest as zero.
 DEFAULT_PINV_RTOL = 1e-10
 
 SQRT_HALF = float(np.sqrt(0.5))
@@ -222,22 +223,28 @@ def conjugate_basis(lambdas, *arrays) -> EigenBasis:
 class EigResult:
     """Eigendecomposition M @ R = R @ diag(lambdas), W = R^-1, held in ``basis``.
 
-    ``W_b`` = Q W and ``R_b`` = R Q* (real in a real basis; ``R_b`` defaults to
-    inv(W_b), a ValueError unless finite) are read-only, as are ``lambdas``.
-    Columns of R have unit norm, so the rows of W are left eigenvectors:
-    W @ M = diag(lambdas) @ W. ``condition_number`` is ||R||_F ||W||_F, which
-    bounds the 2-norm one from above: cond_2 <= cond_F <= n cond_2.
+    ``basis`` is worked out here: the real canonical basis of ``lambdas``
+    when ``W_b`` = Q W is float64 (a ValueError unless ``lambdas`` is closed
+    under conjugation), else COMPLEX_BASIS. ``R_b`` = R Q* defaults to
+    inv(W_b), a ValueError unless finite; it, ``W_b`` and the complex vector
+    ``lambdas`` are read-only. Columns of R have unit norm, so the rows of W
+    are left eigenvectors: W @ M = diag(lambdas) @ W. ``condition_number`` is
+    ||R||_F ||W||_F, which bounds the 2-norm one from above:
+    cond_2 <= cond_F <= n cond_2.
     """
 
     lambdas: np.ndarray
-    basis: EigenBasis
     W_b: np.ndarray
     R_b: np.ndarray | None = None
     condition_number: float
+    basis: EigenBasis = field(init=False)
 
     def __post_init__(self):
-        if np.iscomplexobj(self.W_b) == self.basis.is_real:
-            raise ValueError("W_b must be real exactly in a real basis")
+        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=complex))
+        real = not np.iscomplexobj(self.W_b)
+        object.__setattr__(self, "basis", conjugate_basis(self.lambdas) if real else COMPLEX_BASIS)
+        if real and not self.basis.is_real:
+            raise ValueError("W_b is real, but lambdas are not closed under conjugation")
         if self.R_b is None:
             try:
                 r_b = np.linalg.inv(self.W_b)
@@ -280,11 +287,11 @@ def eig(m) -> EigResult:
     """Eigendecomposition of a square matrix; lambdas are complex128.
 
     float64 input is decomposed in real arithmetic, so its conjugate pairs
-    come out exactly conjugate, and held in their real canonical basis
+    come out exactly conjugate, and moved into their real canonical basis
     (``conjugate_basis``): R_re, and W_re = R_re^-1 inverted in real
-    arithmetic. Other input is held in COMPLEX_BASIS. Eigenvector columns
-    have unit norm; order and phase are implementation defined but
-    deterministic for fixed input.
+    arithmetic; other input stays complex, and ``EigResult`` works out which
+    basis from W_b's dtype. Eigenvector columns have unit norm; order and
+    phase are implementation defined but deterministic for fixed input.
 
     Raises DiagonalizabilityError when R is singular or its condition number
     reaches EIG_CONDITION_LIMIT (defective or nearly so).
@@ -301,7 +308,6 @@ def eig(m) -> EigResult:
     norms = np.linalg.norm(r, axis=0)
     norms[norms == 0.0] = 1.0
     r = (r / norms).astype(complex, copy=False)
-    lambdas = lambdas.astype(complex, copy=False)
     basis = conjugate_basis(lambdas, r.T) if arr.dtype == np.float64 else COMPLEX_BASIS
     r_b = basis.cols_in(r)
     try:
@@ -314,33 +320,31 @@ def eig(m) -> EigResult:
             f"eigenvector matrix condition number {cond:.3e} exceeds "
             f"{EIG_CONDITION_LIMIT:.0e}; matrix is numerically defective"
         )
-    return EigResult(lambdas=lambdas, basis=basis, W_b=w_b, R_b=r_b, condition_number=cond)
+    return EigResult(lambdas=lambdas, W_b=w_b, R_b=r_b, condition_number=cond)
 
 
-def numerical_rank(s: np.ndarray, rtol: float = DEFAULT_PINV_RTOL) -> int:
-    """How many of the descending singular values s exceed rtol * s[0]."""
+def numerical_rank(s: np.ndarray) -> int:
+    """How many of the descending singular values s exceed DEFAULT_PINV_RTOL * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_PINV_RTOL * s[0]))
 
 
-def pinv(m, rtol: float = DEFAULT_PINV_RTOL, return_rank: bool = False):
-    """Moore-Penrose pseudoinverse with relative singular value cutoff.
+def pinv(m, return_rank: bool = False):
+    """Moore-Penrose pseudoinverse with a relative singular value cutoff.
 
-    Singular values at or below rtol * sigma_max are treated as exactly zero,
-    which makes rank decisions reproducible across platforms. With
-    ``return_rank`` the result is (pseudoinverse, numerical rank), the rank
-    being the number of singular values kept.
+    Singular values at or below DEFAULT_PINV_RTOL * sigma_max are treated as
+    exactly zero, which makes rank decisions reproducible across platforms.
+    With ``return_rank`` the result is (pseudoinverse, numerical rank), the
+    rank being the number of singular values kept.
     """
-    if rtol <= 0:
-        raise ValueError(f"rtol must be positive, got {rtol}")
     res = svd(m)
-    rank = numerical_rank(res.S, rtol)
+    rank = numerical_rank(res.S)
     if rank == 0:
         zero = np.zeros((res.V.shape[0], res.U.shape[0]), dtype=res.U.dtype)
         return (zero, 0) if return_rank else zero
-    kept = res.S > rtol * res.S[0]
-    inv_s = np.where(kept, 1.0 / np.where(kept, res.S, 1.0), 0.0)
+    inv_s = np.zeros(res.S.shape)
+    inv_s[:rank] = 1.0 / res.S[:rank]
     inverse = (res.V * inv_s) @ res.U.conj().T
     return (inverse, rank) if return_rank else inverse
 

@@ -39,14 +39,14 @@ def random_diagonalizable(rng, n, radius=1.0):
 def model_of(lambdas, w, r=None, condition_number=1.0, dt=0.1):
     """KoopmanModel of eigenvalues and complex left eigenvectors W, R = W^-1 if not given.
 
-    The model takes the real canonical basis when lambdas, W and R are
-    closed under conjugation, as ``eig`` does for a real K.
+    W and R enter the real canonical basis when lambdas, W and R are closed
+    under conjugation, as ``eig`` does for a real K; the model then works
+    out that basis from the real W_b.
     """
     arrays = (w,) if r is None else (w, r.T)
     basis = conjugate_basis(lambdas, *arrays)
     return KoopmanModel(
         lambdas=lambdas,
-        basis=basis,
         W_b=basis.rows_in(w),
         R_b=None if r is None else basis.cols_in(r),
         condition_number=condition_number,

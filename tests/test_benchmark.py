@@ -158,7 +158,7 @@ class TestPublishedValues:
         (model_f, phi_f), (model_g, phi_g) = benchmark_system(p, "f"), benchmark_system(p, "g")
         report = compare(model_f, phi_f, model_g, phi_g, "f")
         t_lsq = lsq_transform(phi_f.psi, phi_g.psi)
-        return recover_t(report.corners.c_r1, model_f, model_g, phi_f.psi, phi_g.psi, t_lsq), t_lsq
+        return recover_t(report.corners.c_r1, model_f, model_g, t_lsq), t_lsq
 
     def test_transform_recovery_at_conjugacy_default_start(self):
         t_c_r1, t_lsq = self.transforms(BenchmarkParams())

@@ -80,7 +80,24 @@ class TestIdentify:
             ]
         )
         assert code == 2
-        assert "nope.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nope.csv'}'\n"
+
+    @pytest.mark.parametrize("pair", [("--no-aux", "--theta"), ("--no-aux", "--fit-theta"),
+                                      ("--theta", "--fit-theta")],
+                             ids=["no-aux-theta", "no-aux-fit-theta", "theta-fit-theta"])
+    def test_conflicting_theta_flags_are_usage_errors(self, tmp_path, capsys, pair):
+        csv, out = tmp_path / "lin.csv", tmp_path / "m.npz"
+        write_linear_csv(csv, n=40)
+        values = {"--no-aux": [], "--theta": ["1,2,3"], "--fit-theta": []}
+        flags = [arg for flag in pair for arg in [flag, *values[flag]]]
+        code = main(["identify", "--input", str(csv), "--output", str(out),
+                     "--train-steps", "30", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in pair)
+        assert not out.exists()
 
     def test_lifted_dimension_formula(self, tmp_path):
         # hopping trace -> n_psi = 1 + 4 primary + train_steps aux rows
@@ -228,6 +245,16 @@ class TestCompare:
                      "--output", str(tmp_path / "r.json")])
         assert code == 2
         assert "dimensions differ" in capsys.readouterr().err
+
+    def test_missing_model_is_usage_error(self, tmp_path, capsys):
+        model, missing = identify_linear(tmp_path, "lin"), tmp_path / "missing.npz"
+        capsys.readouterr()
+        code = main(["compare", "--model-a", str(missing), "--model-b", str(model),
+                     "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not (tmp_path / "r.json").exists()
 
 
     def test_model_missing_key_is_usage_error(self, tmp_path, capsys):
@@ -385,6 +412,17 @@ class TestHopping:
         assert code == 2
         assert "reference" in capsys.readouterr().err
 
+    def test_missing_reference_trace_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "ref.csv"
+        code = main(
+            ["hopping", "--actuator", "dc", "--steps", "400", "--reference-trace", str(missing),
+             "--output-prefix", str(tmp_path / "dc")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+        assert os.listdir(tmp_path) == []
+
     def test_dc_with_auto_reference(self, tmp_path):
         prefix = tmp_path / "dc"
         code = main(
@@ -431,7 +469,8 @@ class TestExitCodes:
              "--output-prefix", str(tmp_path / "boom")]
         )
         assert code == 1
-        assert "step 7" in capsys.readouterr().err
+        # cli.main maps it like any compute failure: one line on stderr.
+        assert capsys.readouterr().err == "computation failed: state blew up at step 7\n"
 
     def test_non_finite_csv_is_usage_error(self, tmp_path, capsys):
         csv = tmp_path / "geo.csv"

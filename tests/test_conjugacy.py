@@ -592,7 +592,7 @@ class TestPsiSpace:
         k = random_diagonalizable(rng, 4)
         psi = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
         model, phi = lifted_system(k, psi)
-        t = recover_t(np.eye(4), model, model, psi, psi)
+        t = recover_t(np.eye(4), model, model, lsq_transform(psi, psi))
         np.testing.assert_allclose(t, np.eye(4), atol=1e-8)
 
     @pytest.mark.parametrize("n_steps", [6, 30])
@@ -638,12 +638,13 @@ class TestPsiSpace:
         # The transforms as ``--emit-matrices`` builds them, from the carried Psi.
         transforms = {"T_LSQ": lsq_transform(phi_f.psi, phi_g.psi)}
         for name, c in (("T_C_r1", corners.c_r1), ("T_C_r2", corners.c_r2)):
-            transforms[name] = recover_t(c, model_f, model_g, phi_f.psi, phi_g.psi, transforms["T_LSQ"])
+            transforms[name] = recover_t(c, model_f, model_g, transforms["T_LSQ"])
         for got, want in (
             (transforms["T_LSQ"], t_lsq),
             (transforms["T_C_r1"], pull_back(corners.c_r1)),
             (transforms["T_C_r2"], pull_back(corners.c_r2)),
-            (recover_t(corners.c_r1, model_f, model_g, psi_f, psi_g), pull_back(corners.c_r1)),
+            (recover_t(corners.c_r1, model_f, model_g, lsq_transform(psi_f, psi_g)),
+             pull_back(corners.c_r1)),
         ):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
@@ -764,8 +765,8 @@ class TestStructuredCr2MatchesDense:
         cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            t_c1 = recover_t(corners.c_r1, model_f, model_g, psi_f, psi_g, t_lsq)
-            t_c2 = recover_t(c2, model_f, model_g, psi_f, psi_g, t_lsq)
+            t_c1 = recover_t(corners.c_r1, model_f, model_g, t_lsq)
+            t_c2 = recover_t(c2, model_f, model_g, t_lsq)
         for name, t in (("T_C_r1", t_c1), ("T_C_r2", t_c2)):
             want = np.linalg.norm(psi_g - t @ psi_f)
             got = report.psi_residuals[name][1]
@@ -832,8 +833,8 @@ class TestRealBasis:
         m = model_g.W @ t_lsq @ model_f.R
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            t_c1 = recover_t(c1, model_f, model_g, psi_f, psi_g, t_lsq)
-            t_c2 = recover_t(c2, model_f, model_g, psi_f, psi_g, t_lsq)
+            t_c1 = recover_t(c1, model_f, model_g, t_lsq)
+            t_c2 = recover_t(c2, model_f, model_g, t_lsq)
 
         np.testing.assert_array_equal(corners.permutation, pi)
         eps = np.finfo(float).eps

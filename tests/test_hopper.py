@@ -257,10 +257,6 @@ class TestMutualInformation:
             mutual_information(y, x), abs=1e-12
         )
 
-    def test_support_declaration_checked(self):
-        with pytest.raises(ValueError, match="support"):
-            mutual_information([0, 5], [0, 1], support=(2, 2))
-
 
 class TestMorphologicalComputation:
     def test_deterministic_cycle_constant_control(self):

@@ -337,8 +337,8 @@ class TestModelFile:
         assert read_members(path)["header"]["layout"]["theta"] == [0.5, 2.0]
 
     def test_real_model_stored_as_f8(self, tmp_path):
-        # A real model's W_b is W_re, stored as it is held; the loader
-        # rebuilds the real basis from Lambda and inverts W_re for R_re.
+        # A real model's W_b is W_re, stored as it is held; the loaded model
+        # works out the real basis from Lambda and inverts W_re for R_re.
         record = real_record(np.random.default_rng(5), 6)
         assert record.model.basis.is_real and record.model.basis.pairs.size
         path = str(tmp_path / "model.npz")
@@ -351,6 +351,21 @@ class TestModelFile:
             assert archive.namelist() == ["header.npy", "W.npy", "Lambda.npy", "primary.npy"]
             assert archive.getinfo("W.npy").file_size == 128 + 36 * 8
         assert read_members(path)["W"].dtype.str == "<f8"
+
+    def test_f8_lambda_loads_complex(self, tmp_path):
+        rng = np.random.default_rng(11)
+        s = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        k = s @ np.diag([0.9, 0.5, 0.1, -0.3, -0.7]) @ np.linalg.inv(s)
+        record = ModelRecord(model=decompose(k, dt=0.1), series=series_for(rng, 5),
+                             aux=None, one_step_residual=0.5)
+        path = str(tmp_path / "model.npz")
+        save_model(record, path)
+        corrupt(path, lambda doc: doc.update(Lambda=doc["Lambda"].real.copy()))
+        assert read_members(path)["Lambda"].dtype.str == "<f8"
+        loaded = load_model(path)
+        assert loaded.model.lambdas.dtype == np.complex128
+        assert loaded.model.lambdas.tobytes() == record.model.lambdas.tobytes()
+        assert loaded.model.basis.is_real and loaded.model.basis.lone.size == 5
 
     def test_signed_zeros_round_trip(self, signed_zero_record, tmp_path):
         path = str(tmp_path / "model.npz")
@@ -565,6 +580,13 @@ class TestReportFile:
         doc = {"deviations": {"dMin": 2.0, "dAvg": 1.0, "dMax": 3.0}}
         with pytest.raises(ValueError, match="unordered"):
             save_report(doc, str(tmp_path / "r.json"))
+
+    def test_rejects_d_avg_one_ulp_above_d_max(self, tmp_path):
+        # pareto_deviations clamps d_avg into [d_min, d_max]: the order is exact.
+        doc = {"deviations": {"dMin": 1.0, "dAvg": float(np.nextafter(1.5, np.inf)), "dMax": 1.5}}
+        with pytest.raises(ValueError, match="unordered"):
+            save_report(doc, str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "r.json")

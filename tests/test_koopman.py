@@ -83,9 +83,12 @@ class TestBuildObservables:
             build_observables(series(np.zeros((2, 4))), AuxiliaryConfig((1.0,)))
 
     def test_lift_columns_reproduces_training(self, rng):
+        # One routine lays out both: the training columns lift bit for bit.
         vals = rng.standard_normal((2, 5))
-        obs = build_observables(series(vals), AuxiliaryConfig((0.8, 1.1)))
-        np.testing.assert_allclose(lift_columns(obs, vals), obs.psi, atol=1e-14)
+        for aux in (AuxiliaryConfig((0.8, 1.1)), None):
+            obs = build_observables(series(vals), aux)
+            lifted = lift_columns(obs, vals)
+            assert lifted.dtype == obs.psi.dtype and lifted.tobytes() == obs.psi.tobytes()
 
     def test_real_data_stays_real_through_decompose(self, rng):
         vals = rng.standard_normal((2, 30))
@@ -170,8 +173,10 @@ class TestDecompose:
         np.testing.assert_array_equal(model.R, np.linalg.inv(w))
         with pytest.raises(ValueError, match="singular"):
             dataclasses.replace(model, W_b=np.zeros((4, 4), dtype=complex), R_b=None)
-        with pytest.raises(ValueError, match="real exactly in a real basis"):
-            dataclasses.replace(model, W_b=w.real, R_b=None)
+        # A real W_b over a closed spectrum is a real-basis model; over an
+        # open one there is no real basis.
+        with pytest.raises(ValueError, match="not closed under conjugation"):
+            dataclasses.replace(model, lambdas=np.array([1j, 1, 1, 1]), W_b=w.real, R_b=None)
 
     def test_right_eigenvectors_of_a_real_structured_w_from_the_real_inverse(self, rng):
         # W closed under conjugation: R = inv(W_re) Q, whose columns at each

@@ -1,4 +1,6 @@
 """Factorization wrappers validated against reconstruction identities."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from koopmetrics.linalg import (
     COMPLEX_BASIS,
     SQRT_HALF,
     DiagonalizabilityError,
+    EigResult,
     as_matrix,
     conjugate_basis,
     eig,
@@ -209,12 +212,8 @@ class TestPinv:
 
     def test_diagonal_reciprocal_with_cutoff(self):
         m = np.diag([2.0, 1e-14, 0.0])
-        dag = pinv(m, rtol=1e-10)
+        dag = pinv(m)
         np.testing.assert_allclose(np.diag(dag), [0.5, 0.0, 0.0], atol=1e-15)
-
-    def test_rejects_nonpositive_rtol(self):
-        with pytest.raises(ValueError, match="rtol"):
-            pinv(np.eye(2), rtol=0.0)
 
 
 larger_real_systems = st.builds(
@@ -223,6 +222,35 @@ larger_real_systems = st.builds(
     st.integers(0, 10),
     st.integers(2, 10),
 )
+
+
+class TestEigResultBasis:
+    """EigResult works out its basis from lambdas and the dtype of W_b."""
+
+    def test_real_w_over_a_closed_spectrum_gives_the_real_basis(self, rng):
+        lam = np.array([0.5, 0.3 + 0.4j, 0.3 - 0.4j, -0.2])
+        res = EigResult(lambdas=lam, W_b=rng.standard_normal((4, 4)) + 4 * np.eye(4),
+                        condition_number=1.0)
+        assert res.basis.is_real
+        assert res.basis.pairs.tolist() == [1] and res.basis.lone.tolist() == [0, 3]
+
+    def test_real_w_over_an_open_spectrum_is_rejected(self):
+        with pytest.raises(ValueError, match="not closed under conjugation"):
+            EigResult(lambdas=np.array([0.5, 0.3 + 0.4j]), W_b=np.eye(2), condition_number=1.0)
+
+    def test_complex_w_gives_the_complex_basis(self):
+        # The spectrum is closed, but a complex W_b is W itself.
+        lam = np.array([0.3 + 0.4j, 0.3 - 0.4j])
+        res = EigResult(lambdas=lam, W_b=np.eye(2, dtype=complex), condition_number=1.0)
+        assert res.basis is COMPLEX_BASIS
+        # Nothing passes a basis in: it is no argument of the constructor.
+        assert [f.name for f in dataclasses.fields(EigResult) if not f.init] == ["basis"]
+
+    def test_lambdas_are_held_complex(self):
+        res = EigResult(lambdas=np.array([0.5, 2.0]), W_b=np.eye(2), condition_number=1.0)
+        assert res.lambdas.dtype == np.complex128 and not res.lambdas.flags.writeable
+        np.testing.assert_array_equal(res.lambdas, [0.5, 2.0])
+        assert res.basis.is_real and res.basis.lone.tolist() == [0, 1]
 
 
 def dense_q(basis, n):
