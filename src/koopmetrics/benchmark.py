@@ -210,7 +210,7 @@ def sweep(
         raise ValueError("sweep ranges must be nonempty")
     f = conjugacy.prepare(*benchmark_system(p, "f"))
     # Factorize f now, before any worker receives a pickled copy of it.
-    f.pinv_phi_b, f.pinv_psi
+    f.pinv_psi
     points = [(a, b, p, f) for a in alphas for b in betas]
     workers = min(parallel, os.cpu_count() or 1, -(-len(points) // SWEEP_CHUNK))
     if workers > 1:

@@ -8,10 +8,11 @@ residuals over unitary transformations C:
 
 Minimizing each residual on its own has a closed form: r1 by the orthogonal
 Procrustes solution (SVD of Phi_g Phi_f*), r2 by an exact linear assignment
-on the squared eigenvalue distances followed by a unit-modulus diagonal that
-re-phases the matched rows. The two solutions bound a rectangle of possible
-Pareto-optimal residual pairs; its near corner, far corner, and exact mean
-distance from the origin give the d_min / d_avg / d_max deviations.
+on the squared eigenvalue distances followed by the unit-modulus diagonal
+that best re-phases the matched rows, one row inner product each. The two
+solutions bound a rectangle of possible Pareto-optimal residual pairs; its
+near corner, far corner, and exact mean distance from the origin give the
+d_min / d_avg / d_max deviations.
 
 The same unitary solutions pull back to observable space as the non-unitary
 transform T_C = (Omega W_g)^-1 C W_f, with Omega the diagonal that brings
@@ -39,16 +40,15 @@ Phi_b = Q Phi in O(n T): rows that are exact conjugates come out real, any
 others go through Q in complex arithmetic. Every residual above is
 invariant under these unitary changes of basis, C becomes C_b = Q_g C Q_f*,
 and Psi is the trajectory's own, so for real systems with real data the
-Procrustes SVD, both pseudoinverses, T_LSQ, M, both fits' pull-backs and
+Procrustes SVD, pinv(Psi_f), T_LSQ, M, both fits' pull-backs and
 all operator and trajectory residuals are real products. The spectrum side
 stays complex: the assignment, gamma, C_r2 and Omega^-1 link to a real
 basis through the 2x2 blocks of Q D Q*; reported C's and gamma are complex.
 
 The work splits into per-system and per-pair parts. ``prepare`` does the
 per-system part once: Phi_b, in O(n T); the complex spectrum is the
-model's own. Two factorizations depend on the reference system f alone,
-since pinv(P Phi_f) = pinv(Phi_f) P^T: pinv(Phi_f) for gamma and
-pinv(Psi_f) for T_LSQ. A ``PreparedSystem`` computes each on first use and
+model's own. One factorization depends on the reference system f alone,
+pinv(Psi_f) for T_LSQ. A ``PreparedSystem`` computes it on first use and
 keeps it, so a system that only plays g factorizes nothing.
 ``compare_prepared`` does the rest for each pair: the Procrustes SVD, the
 assignment, gamma as an O(n T) diagonal, M, the fits and every residual.
@@ -74,7 +74,6 @@ from .linalg import (
 
 UNITARY_TOL = 1e-8
 DOMINANCE_TOL = 1e-9
-GAMMA_ZERO_TOL = 1e-14
 OMEGA_ZERO_TOL = 1e-14
 # d_avg: 16-point Gauss-Legendre along rectangle sides FAR_SIDES lengths from the origin.
 FAR_SIDES = 2.0
@@ -324,26 +323,23 @@ def permutation_matrix(permutation) -> np.ndarray:
 
 
 def solve_gamma(phi_f, phi_g, permutation) -> np.ndarray:
-    """Unit-modulus diagonal re-phasing the permuted rows onto Phi_g.
+    """Unit-modulus diagonal Gamma minimizing || Phi_g - Gamma P Phi_f ||_F, in O(n T).
 
-    The unconstrained least squares factor is Phi_g (P Phi_f)+; keeping only
-    its diagonal and projecting each entry to the unit circle is the unitary
-    polar factor of that diagonal. P Phi_f is the row gather Phi_f[pi^-1],
-    so (P Phi_f)+ = Phi_f+ P^T is the column gather Phi_f+[:, pi^-1]: one
-    pseudoinverse per system, whatever the permutation. Only the diagonal
-    of the product is formed. Entries with modulus below GAMMA_ZERO_TOL
-    carry no phase information and default to 1.
+    Row k of P Phi_f is Phi_f[pi^-1[k]], and row k of the residual depends
+    on gamma_k alone, so gamma_k is the phase of the row inner product
+    <Phi_g[k], Phi_f[pi^-1[k]]> = sum_t Phi_g[k, t] conj(Phi_f[pi^-1[k], t]).
+    An inner product no larger than its own rounding bound,
+    T eps ||Phi_g[k]|| ||Phi_f[pi^-1[k]]||, carries no phase, and gamma_k
+    is then 1. The minimum is symmetric: swapping f and g (pi for pi^-1)
+    conjugates Gamma and leaves r1 unchanged.
     """
     pf, pg = _pair(phi_f, phi_g)
-    return _phases(pg, pinv(pf)[:, np.argsort(permutation)])
-
-
-def _phases(pg, pinv_aligned) -> np.ndarray:
-    """``solve_gamma`` from pinv(P Phi_f): unit-modulus diagonal of Phi_g pinv(P Phi_f)."""
-    raw = np.einsum("ij,ji->i", pg, pinv_aligned)
-    mod = np.abs(raw)
-    safe = np.where(mod < GAMMA_ZERO_TOL, 1.0, raw)
-    return np.where(mod < GAMMA_ZERO_TOL, 1.0 + 0.0j, safe / np.abs(safe))
+    aligned = pf[np.argsort(permutation)]
+    raw = np.einsum("ij,ij->i", pg, aligned.conj())
+    norms = np.linalg.norm(pg, axis=1) * np.linalg.norm(aligned, axis=1)
+    gamma = np.exp(1j * np.angle(raw))
+    gamma[np.abs(raw) <= pf.shape[1] * np.finfo(float).eps * norms] = 1.0
+    return gamma
 
 
 def solve_c_r2(phi_f, phi_g, lambdas_f, lambdas_g):
@@ -500,18 +496,13 @@ class PreparedSystem:
     """One system with the work ``compare`` does on it alone; see ``prepare``.
 
     ``phi_b`` = Q Phi in the model's basis (Phi itself, not a copy, for a
-    complex model); the spectrum is the model's. The pseudoinverses, needed
-    only of the reference system f, are computed on first use and kept.
+    complex model); the spectrum is the model's. ``pinv_psi``, needed only
+    of the reference system f, is computed on first use and kept.
     """
 
     model: KoopmanModel
     trajectory: EigenfunctionTrajectory
     phi_b: np.ndarray
-
-    @cached_property
-    def pinv_phi_b(self) -> np.ndarray:
-        """pinv(Phi_b), real in a real basis; pinv(Phi) = pinv(Phi_b) Q."""
-        return pinv(self.phi_b)
 
     @cached_property
     def pinv_psi(self) -> tuple[np.ndarray, int]:
@@ -563,8 +554,8 @@ def compare_prepared(
     reported through the numbers rather than assumed. C_r2 enters every
     step as (permutation, gamma), and the operator residuals come from the
     eigenbasis, which needs no K; each system runs in its model's own basis.
-    See the module docstring. Only f's factorizations are used, and they
-    are computed on f's first comparison; everything else here is per pair.
+    See the module docstring. Only f's factorization, pinv(Psi_f), is used,
+    and it is computed on f's first comparison; everything else is per pair.
     """
     if normalization not in ("none", "f", "g"):
         raise ValueError(f"normalization must be 'none', 'f' or 'g', got {normalization!r}")
@@ -583,10 +574,9 @@ def compare_prepared(
     c1_rows = bg.rows_out(c1_b)
     c1 = bf.cols_out(c1_rows)
     pi = solve_permutation(lf, lg)
-    # Row k of C_r2 X is gamma_k X[inv_pi[k]]. As in solve_gamma,
-    # pinv(P Phi_f) = pinv(Phi_f)[:, inv_pi], and pinv(Phi_f) = pinv(Phi_f_b) Q_f.
+    # Row k of C_r2 X is gamma_k X[inv_pi[k]].
     inv_pi = np.argsort(pi)
-    gamma = _phases(pg, bf.cols_out(f.pinv_phi_b)[:, inv_pi])
+    gamma = solve_gamma(pf, pg, pi)
 
     if normalization == "f":
         phi_norm = float(np.linalg.norm(pf))

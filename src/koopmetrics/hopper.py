@@ -400,12 +400,3 @@ def export_primary(trace: HopperTrace, mc: McSeries) -> PrimarySeries:
     n = mc.mc.shape[0]
     values = np.vstack([trace.y[:n], trace.ydot[:n], trace.u[:n], mc.mc])
     return PrimarySeries(names=("y", "ydot", "u", "mc"), values=values, dt=trace.dt)
-
-
-def split_series(series: PrimarySeries, n_train: int) -> tuple[PrimarySeries, PrimarySeries]:
-    """(training, holdout) split at column n_train."""
-    if not 2 <= n_train <= series.n_steps - 2:
-        raise ValueError(
-            f"n_train {n_train} incompatible with {series.n_steps} steps"
-        )
-    return series.window(0, n_train), series.window(n_train, series.n_steps)

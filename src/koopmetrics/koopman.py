@@ -229,13 +229,7 @@ def build_observables(primary: PrimarySeries, aux: AuxiliaryConfig | None) -> Ob
     With auxiliaries (``aux`` not None) the lifted dimension is
     1 + n_primary + n_steps (one aux row per training time step).
     """
-    snapshots = None
-    if aux is not None:
-        if len(aux.theta) != primary.n_primary:
-            raise ValueError(
-                f"{len(aux.theta)} theta values for {primary.n_primary} primary observables"
-            )
-        snapshots = primary.values.copy()
+    snapshots = None if aux is None else primary.values.copy()
     return ObservableMatrix(
         psi=_lift(primary.values, True, aux, snapshots),
         names=primary.names,

@@ -305,7 +305,7 @@ def test_10_morphological_computation_properties():
 
     for tag, trace in traces.items():
         series = hopper.export_primary(trace, mc_series[tag])
-        train, test = hopper.split_series(series, 2500)
+        train, test = series.window(0, 2500), series.window(2500, series.n_steps)
         obs = koopman.build_observables(train, koopman.default_theta(train))
         k = koopman.identify_operator(obs, koopman.default_ridge(obs))
         psi0 = koopman.lift_columns(obs, test.values[:, :1])[:, 0]

@@ -252,8 +252,8 @@ class TestSweep:
         rows = sweep([0.9, 1.0], [0.95, 1.1], p)
         monkeypatch.undo()
         assert calls.count("f") == 1 and calls.count("g") == 4
-        # One Procrustes SVD per point, and f's two pseudoinverses once.
-        assert len(svds) == 4 + 2
+        # One Procrustes SVD per point, and f's one pseudoinverse, pinv(Psi_f), once.
+        assert len(svds) == 4 + 1
         for alpha, beta, *values in rows:
             devs = compare_pair(replace(p, alpha=alpha, beta=beta)).deviations
             assert tuple(values[:3]) == (devs.d_min, devs.d_avg, devs.d_max)

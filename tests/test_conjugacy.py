@@ -225,14 +225,34 @@ class TestSolveGamma:
             solve_gamma(phi, pg, pi), np.exp(1j * np.pi / 3) * np.ones(3), atol=1e-10
         )
 
-    def test_matches_svd_polar_factor(self, rng):
+    def test_is_phase_of_matched_row_inner_products(self, rng):
         pf, pg = random_phi(rng, 4, 9), random_phi(rng, 4, 9)
-        pi = np.arange(4)
+        pi = np.array([2, 0, 3, 1])
         gamma = solve_gamma(pf, pg, pi)
-        delta = np.diag(np.diag(pg @ pinv(pf)))
-        res = svd(delta)
-        polar = res.U @ res.V.conj().T
-        np.testing.assert_allclose(np.diag(polar), gamma, atol=1e-10)
+        inner = np.array([np.vdot(pf[i], pg[pi[i]]) for i in range(4)])
+        np.testing.assert_allclose(gamma[pi], inner / np.abs(inner), atol=1e-14)
+        # Each gamma_k minimizes its row of ||Phi_g - Gamma P Phi_f||: no
+        # other phase on the unit circle does better.
+        aligned = permutation_matrix(pi) @ pf
+        for k in range(4):
+            best = np.linalg.norm(pg[k] - gamma[k] * aligned[k])
+            for phase in np.exp(2j * np.pi * np.linspace(0, 1, 64)):
+                assert best <= np.linalg.norm(pg[k] - phase * aligned[k]) + 1e-12
+
+    def test_row_orthogonal_to_rounding_gets_unit_phase(self, rng):
+        # Row 1 pairs a with b, whose products cancel in pairs, plus a tenth of
+        # the inner product's rounding bound T eps ||a|| ||b|| along a. At
+        # norms near 1e4 that is far above any fixed 1e-14, and still no phase.
+        pf, pg = 1e3 * random_phi(rng, 3, 40), 1e3 * random_phi(rng, 3, 40)
+        a = 1e3 * rng.standard_normal(40)
+        b = np.empty(40)
+        b[0::2], b[1::2] = a[1::2], -a[0::2]
+        bound = 40 * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+        pf[1], pg[1] = a, b + 0.1 * bound / (a @ a) * a
+        assert 1e-14 < abs(np.vdot(pf[1], pg[1])) <= 0.2 * bound
+        gamma = solve_gamma(pf, pg, np.arange(3))
+        assert gamma[1] == 1.0
+        assert gamma[0] != 1.0 and gamma[2] != 1.0
 
 
 class TestSolveCr2:
@@ -417,6 +437,16 @@ class TestCompare:
         assert fwd.corners.r1_at_cr1 == pytest.approx(rev.corners.r1_at_cr1, abs=1e-8)
         assert fwd.corners.r2_at_cr2 == pytest.approx(rev.corners.r2_at_cr2, abs=1e-8)
 
+    @pytest.mark.parametrize("make", [random_system, real_system])
+    def test_self_comparison_gamma_is_exactly_one(self, rng, make):
+        # Each matched row pairs with itself: <Phi[k], Phi[k]> is real and
+        # positive, so its phase is exactly 1.
+        model, phi = make(rng, 8, 30)
+        report = compare(model, phi, model, phi)
+        np.testing.assert_array_equal(report.corners.permutation, np.arange(8))
+        np.testing.assert_array_equal(report.corners.gamma, np.ones(8))
+        assert report.diagnostics.unitarity_defects["C_r2"] == 0.0
+
     def test_permutation_invariance(self, rng):
         model_a, phi_a = random_system(rng, 4, 18)
         model_b, phi_b = random_system(rng, 4, 18)
@@ -522,6 +552,51 @@ class TestCompare:
             compare(model_a, phi_b, model_b, phi_b)
 
 
+class TestRowWisePhaseCorner:
+    """C_r2 = Gamma P with Gamma the exact row-wise phase."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 14),
+        n_steps=st.integers(1, 40),
+        make=st.sampled_from([random_system, real_system]),
+    )
+    def test_r1_never_above_pinv_diagonal_phase(self, seed, n, n_steps, make):
+        rng = np.random.default_rng(seed)
+        (model_f, phi_f), (model_g, phi_g) = make(rng, n, n_steps), make(rng, n, n_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            corners = compare(model_f, phi_f, model_g, phi_g, "none").corners
+        # The former gamma: the unit-modulus part of diag(Phi_g pinv(P Phi_f)).
+        pf, pg = phi_f.phi, phi_g.phi
+        aligned = pf[np.argsort(corners.permutation)]
+        old = np.exp(1j * np.angle(np.einsum("ij,ji->i", pg, pinv(aligned))))
+        r1_old = np.linalg.norm(pg - old[:, None] * aligned)
+        rounding = n_steps * np.finfo(float).eps * (np.linalg.norm(pf) + np.linalg.norm(pg))
+        assert corners.r1_at_cr2 <= r1_old + rounding
+
+    # Random Phi at T >= n give Phi_g Phi_f* full rank, so every corner is
+    # unique and each deviation symmetric: g against f reads as f against g.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 14),
+        extra_steps=st.integers(0, 30),
+        make=st.sampled_from([random_system, real_system]),
+    )
+    def test_deviations_equal_their_swap(self, seed, n, extra_steps, make):
+        rng = np.random.default_rng(seed)
+        n_steps = n + extra_steps
+        a, b = make(rng, n, n_steps), make(rng, n, n_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fwd = compare(*a, *b, "none").deviations
+            rev = compare(*b, *a, "none").deviations
+        for name in ("d_min", "d_avg", "d_max"):
+            assert getattr(rev, name) == pytest.approx(getattr(fwd, name), rel=1e-12, abs=0)
+
+
 def assert_reports_identical(got, want):
     """Every field of two reports, bit for bit."""
     for name in ("c_r1", "permutation", "gamma"):
@@ -566,10 +641,10 @@ class TestPrepared:
         monkeypatch.setattr(conjugacy, "pinv", counted)
         compare_prepared(f, g)
         compare_prepared(f, g)
-        # pinv(Phi_f) and pinv(Psi_f), on f's first comparison only.
-        assert len(calls) == 2
-        assert {"pinv_phi_b", "pinv_psi"} <= vars(f).keys()
-        assert not {"pinv_phi_b", "pinv_psi"} & vars(g).keys()
+        # pinv(Psi_f) alone, on f's first comparison only: gamma needs no
+        # factorization.
+        assert calls == [phi_f.psi.shape]
+        assert "pinv_psi" in vars(f) and "pinv_psi" not in vars(g)
 
 
 class TestPsiSpace:
@@ -844,18 +919,9 @@ class TestRealBasis:
         assert abs(corners.r1_at_cr1 - want.r1_at_cr1) <= tol * phi_scale
         assert abs(corners.r2_at_cr2 - want.r2_at_cr2) <= tol * lam_scale
         assert abs(report.deviations.d_min - want_devs.d_min) <= tol * (phi_scale + lam_scale)
-        # Gamma is the phase of Phi_g pinv(P Phi_f): its rounding is that of
-        # the pseudoinverse, relative to the entry it is the phase of, and
-        # r1(C_r2) = ||Phi_g - Gamma P Phi_f|| carries it row by row.
-        aligned = pf[np.argsort(pi)]
-        aligned_pinv = pinv(aligned)
-        raw = np.einsum("ij,ji->i", pg, aligned_pinv)
-        s = svd(aligned_pinv).S
-        cond_pf = s[0] / s[numerical_rank(s) - 1]
-        gamma_tol = tol * cond_pf * np.linalg.norm(pg, axis=1) * s[0] / np.abs(raw)
-        assert np.all(np.abs(corners.gamma - gamma) <= gamma_tol)
-        r1_c2_tol = tol * phi_scale + np.linalg.norm(gamma_tol * np.linalg.norm(aligned, axis=1))
-        assert abs(corners.r1_at_cr2 - want.r1_at_cr2) <= r1_c2_tol
+        # compare takes gamma from the same complex Phi as solve_gamma, in any basis.
+        np.testing.assert_array_equal(corners.gamma, gamma)
+        assert abs(corners.r1_at_cr2 - want.r1_at_cr2) <= tol * phi_scale
         # T_LSQ = Psi_g pinv(Psi_f) adds the least squares problem's
         # cond(Psi_f) to the n eps cond(W_f) cond(W_g) of the transforms, and
         # T_C = R_g Omega^-1 C W_f takes Omega^-1 from diagonal entries of

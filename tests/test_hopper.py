@@ -20,7 +20,6 @@ from koopmetrics.hopper import (
     mutual_information,
     reference_from_trace,
     simulate_hopping,
-    split_series,
     world_states,
 )
 
@@ -316,14 +315,14 @@ class TestExport:
         series = export_primary(nlm_trace, mc)
         assert series.values.shape == (4, 3500)
         assert series.names == ("y", "ydot", "u", "mc")
-        train, test = split_series(series, 2500)
+        train, test = series.window(0, 2500), series.window(2500, series.n_steps)
         assert train.n_steps == 2500 and test.n_steps == 1000
 
     def test_reduced_scale_model_free_runs_test_segment(self):
         trace = simulate_hopping(HopperConfig(steps=1801))
         mc = morphological_computation(trace, bins=30)
         series = export_primary(trace, mc)
-        train, test = split_series(series, 1300)
+        train, test = series.window(0, 1300), series.window(1300, series.n_steps)
         obs = koopman.build_observables(train, koopman.default_theta(train))
         # short training windows need a stiffer ridge than the default to
         # keep the free-running model inside the unit circle

@@ -79,7 +79,7 @@ class TestBuildObservables:
         assert aux.min() >= 0.0 and aux.max() <= 1.0
 
     def test_theta_length_mismatch(self):
-        with pytest.raises(ValueError, match="theta"):
+        with pytest.raises(ValueError, match=r"^1 theta values for 2 primary observables$"):
             build_observables(series(np.zeros((2, 4))), AuxiliaryConfig((1.0,)))
 
     def test_lift_columns_reproduces_training(self, rng):
@@ -373,8 +373,7 @@ class TestFitTheta:
         trace = hopper.simulate_hopping(cfg)
         mc = hopper.morphological_computation(trace, bins=20)
         full = hopper.export_primary(trace, mc)
-        train, hold = hopper.split_series(full, 1100)
-        hold = hold.window(0, 200)
+        train, hold = full.window(0, 1100), full.window(1100, 1300)
         fitted = fit_theta(train, hold, grid=[0.05, 0.5, 5.0])
         err_fitted = holdout_error(train, hold, fitted)
         err_plain = holdout_error(train, hold, None)
