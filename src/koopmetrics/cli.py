@@ -8,7 +8,9 @@ Subcommands:
 
 ``identify`` saves the model with its training series; ``compare`` re-lifts
 the first min(T_a, T_b) snapshots of each model's series to Phi = W Psi, as
-the library does, and compares them.
+the library does, and compares them. ``--emit-matrices FILE`` writes C_r1,
+C_r2, T_C_r1, T_C_r2 and T_LSQ to one npz archive, which the report records
+by path and sha256. No output may name an input or another output.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or I/O error
 (out-of-range, non-finite or conflicting flag values and missing, unreadable
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -63,7 +66,21 @@ def _positive_floats(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
+def _check_outputs(args, inputs: tuple, outputs: tuple) -> None:
+    """UsageFailure when an output flag's path names an input's or another output's file."""
+    files = {}
+    for flag in inputs + outputs:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if flag in outputs and real in files:
+            raise UsageFailure(f"{flag} {path} names the same file as {files[real]}")
+        files[real] = flag
+
+
 def cmd_identify(args) -> int:
+    _check_outputs(args, ("--input",), ("--output",))
     if args.dt is not None and not args.dt > 0:
         raise UsageFailure(f"--dt must be positive, got {args.dt:g}")
     if args.ridge is not None and not args.ridge >= 0:
@@ -121,7 +138,13 @@ def cmd_identify(args) -> int:
     return 0
 
 
+def _file_entry(path: str, **fields) -> dict:
+    """A report's record of a file: its path, ``fields`` and its sha256."""
+    return {"path": path, **fields, "sha256": io.file_sha256(path)}
+
+
 def cmd_compare(args) -> int:
+    _check_outputs(args, ("--model-a", "--model-b"), ("--output", "--emit-matrices"))
     started = time.perf_counter()
     rec_a = io.load_model(args.model_a)
     rec_b = io.load_model(args.model_b)
@@ -144,16 +167,8 @@ def cmd_compare(args) -> int:
 
     doc = {
         "systems": {
-            "a": {
-                "path": args.model_a,
-                "names": list(rec_a.series.names),
-                "sha256": io.file_sha256(args.model_a),
-            },
-            "b": {
-                "path": args.model_b,
-                "names": list(rec_b.series.names),
-                "sha256": io.file_sha256(args.model_b),
-            },
+            "a": _file_entry(args.model_a, names=list(rec_a.series.names)),
+            "b": _file_entry(args.model_b, names=list(rec_b.series.names)),
         },
         "normalization": args.reference,
         "refNorms": list(report.ref_norms),
@@ -181,11 +196,11 @@ def cmd_compare(args) -> int:
     }
     if args.emit_matrices:
         t_lsq = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
-        mats = {"C_r1": corners.c_r1, "C_r2": corners.c_r2}
-        for name, c in list(mats.items()):
-            mats[f"T_{name}"] = conjugacy.recover_t(c, rec_a.model, rec_b.model, t_lsq)
-        mats["T_LSQ"] = t_lsq
-        doc["matrices"] = {name: io.encode_complex(m) for name, m in mats.items()}
+        cs = {"C_r1": corners.c_r1, "C_r2": corners.c_r2}
+        ts = {f"T_{name}": conjugacy.recover_t(c, rec_a.model, rec_b.model, t_lsq)
+              for name, c in cs.items()}
+        io.save_matrices({**cs, **ts, "T_LSQ": t_lsq}, args.emit_matrices)
+        doc["matrices"] = _file_entry(args.emit_matrices)
     doc["timings"] = {"totalSeconds": time.perf_counter() - started}
     io.save_report(doc, args.output)
     print(
@@ -338,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--model-b", required=True)
     p_cmp.add_argument("--reference", choices=["a", "b", "none"], default="none")
     p_cmp.add_argument("--output", required=True)
-    p_cmp.add_argument("--emit-matrices", action="store_true")
+    p_cmp.add_argument("--emit-matrices", metavar="FILE", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sw = sub.add_parser("benchmark-sweep", help="alpha/beta deviation table")

@@ -242,7 +242,7 @@ def solve_c_r1(phi_f, phi_g, return_singular_values: bool = False):
     """
     pf, pg = _pair(phi_f, phi_g)
     res = svd(pg @ pf.conj().T)
-    c = res.U @ res.V.conj().T
+    c = res.U @ res.Vh
     return (c, res.S) if return_singular_values else c
 
 

@@ -1,15 +1,16 @@
-"""File formats: ``.npz`` model archives, JSON reports and CSV trajectories.
+"""File formats: ``.npz`` archives, JSON reports and CSV trajectories.
 
 All writes are atomic (temp file in the target directory, then rename), so a
-crashed run never leaves a truncated artifact.
+crashed run never leaves a truncated artifact. Every archive, a model file or
+``save_matrices``' named matrices, is an uncompressed ``np.savez`` archive at
+exactly the path given, each array member ``<c16`` if complex, else ``<f8``.
 
-A model file (schema v5) is an uncompressed ``np.savez`` archive at exactly
-the path given. Member ``header`` is a 0-d str array holding a JSON object:
-``nPsi``, ``dt``, ``ridge``, ``eigCondition``, ``layout`` (the observable
-``names`` and the correlation widths ``theta``, or null without auxiliary
-rows) and ``diagnostics`` (``oneStepResidual``). ``W`` is the model's W_b,
-and its dtype tells the model which basis it is in: ``<f8`` for the real
-canonical basis of ``Lambda``, ``<c16`` for the complex one
+In a model file (schema v5), member ``header`` is a 0-d str array holding a
+JSON object: ``nPsi``, ``dt``, ``ridge``, ``eigCondition``, ``layout`` (the
+observable ``names`` and the correlation widths ``theta``, or null without
+auxiliary rows) and ``diagnostics`` (``oneStepResidual``). ``W`` is the
+model's W_b, and its dtype tells the model which basis it is in: ``<f8`` for
+the real canonical basis of ``Lambda``, ``<c16`` for the complex one
 (``linalg.EigResult``). ``Lambda``, ``<f8`` or ``<c16``, loads as a complex
 vector of the same values, and ``primary`` (``<f8``, the training series,
 one row per name and one column per snapshot) as it is: all bit for bit.
@@ -101,12 +102,6 @@ class ModelRecord:
         return eigenfunction_trajectories(self.model, build_observables(self.series, self.aux))
 
 
-def encode_complex(arr: np.ndarray) -> list:
-    """Row-major list of [re, im] pairs."""
-    flat = np.asarray(arr, dtype=complex).reshape(-1)
-    return np.column_stack([flat.real, flat.imag]).tolist()
-
-
 def _read_member(archive: zipfile.ZipFile, key: str, shape: tuple | None, dtypes: str):
     """Member ``key``; its npy header must declare a dtype matching ``dtypes``,
     ``shape`` unless that is None, and the data bytes the member holds.
@@ -160,6 +155,17 @@ def atomic_write_text(path: str, text: str) -> None:
         handle.write(text.encode("utf-8"))
 
 
+def _save_npz(path: str, **members) -> None:
+    """Write ``members`` as one archive at ``path`` (module docstring); a str as its 0-d array."""
+    # np.savez appends ".npz" to a path, so it gets the handle.
+    with _atomic_file(path) as handle:
+        np.savez(handle, **{
+            key: value if isinstance(value, str)
+            else np.asarray(value, dtype="<c16" if np.iscomplexobj(value) else "<f8")
+            for key, value in members.items()
+        })
+
+
 def file_sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -169,7 +175,7 @@ def file_sha256(path: str) -> str:
 
 
 def save_model(record: ModelRecord, path: str) -> None:
-    """Write a schema v5 model archive to exactly ``path`` (see the module docstring)."""
+    """Write a schema v5 model archive to exactly ``path`` by ``_save_npz`` (module docstring)."""
     m, aux = record.model, record.aux
     header = {
         "schemaVersion": MODEL_SCHEMA_VERSION,
@@ -183,13 +189,13 @@ def save_model(record: ModelRecord, path: str) -> None:
         "eigCondition": m.condition_number,
         "diagnostics": {"oneStepResidual": record.one_step_residual},
     }
-    arrays = {"W": m.W_b, "Lambda": m.lambdas, "primary": record.series.values}
-    # np.savez appends ".npz" to a path, so it gets the handle.
-    with _atomic_file(path) as handle:
-        np.savez(handle, header=json.dumps(header), **{
-            key: np.asarray(arr, dtype="<c16" if np.iscomplexobj(arr) else "<f8")
-            for key, arr in arrays.items()
-        })
+    _save_npz(path, header=json.dumps(header), W=m.W_b, Lambda=m.lambdas,
+              primary=record.series.values)
+
+
+def save_matrices(matrices: dict, path: str) -> None:
+    """Write each named array as one member of an archive at exactly ``path``, bit for bit."""
+    _save_npz(path, **matrices)
 
 
 def load_model(path: str) -> ModelRecord:

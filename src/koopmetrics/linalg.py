@@ -59,15 +59,15 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Singular value decomposition M = U @ diag(S) @ V.conj().T.
+    """Singular value decomposition M = U @ diag(S) @ Vh, as numpy returns it.
 
-    U and V hold left/right singular vectors in columns; S is real,
-    nonnegative and sorted descending.
+    U holds the left singular vectors in columns and Vh the conjugated right
+    ones in rows; S is real, nonnegative and sorted descending.
     """
 
     U: np.ndarray
     S: np.ndarray
-    V: np.ndarray
+    Vh: np.ndarray
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -280,7 +280,7 @@ def svd(m) -> SvdResult:
         raise FactorizationError(
             f"SVD did not converge for {arr.shape[0]}x{arr.shape[1]} matrix"
         ) from exc
-    return SvdResult(U=u, S=s, V=vh.conj().T)
+    return SvdResult(U=u, S=s, Vh=vh)
 
 
 def eig(m) -> EigResult:
@@ -341,11 +341,11 @@ def pinv(m, return_rank: bool = False):
     res = svd(m)
     rank = numerical_rank(res.S)
     if rank == 0:
-        zero = np.zeros((res.V.shape[0], res.U.shape[0]), dtype=res.U.dtype)
+        zero = np.zeros((res.Vh.shape[1], res.U.shape[0]), dtype=res.U.dtype)
         return (zero, 0) if return_rank else zero
     inv_s = np.zeros(res.S.shape)
     inv_s[:rank] = 1.0 / res.S[:rank]
-    inverse = (res.V * inv_s) @ res.U.conj().T
+    inverse = (res.Vh.conj().T * inv_s) @ res.U.conj().T
     return (inverse, rank) if return_rank else inverse
 
 

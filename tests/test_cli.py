@@ -71,6 +71,20 @@ class TestIdentify:
         assert os.listdir(out) == ["m.json"]
         assert zipfile.is_zipfile(out / "m.json")
 
+    @pytest.mark.parametrize("spelling", ["same", "through-symlink"])
+    def test_output_naming_the_input_is_usage_error(self, tmp_path, capsys, spelling):
+        csv = tmp_path / "geo.csv"
+        write_geometric_csv(csv)
+        before = csv.read_bytes()
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        out = csv if spelling == "same" else tmp_path / "link" / "geo.csv"
+        code = main(["identify", "--input", str(csv), "--output", str(out), "--no-aux"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --output ") and err.count("\n") == 1
+        assert csv.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["geo.csv", "link"]
+
     def test_missing_input_exits_2_with_path(self, tmp_path, capsys):
         code = main(
             [
@@ -188,17 +202,46 @@ class TestCompare:
     def test_conjugate_pair_models(self, tmp_path):
         a = identify_linear(tmp_path, "f")
         b = identify_linear(tmp_path, "g", h=CONJUGATING_H)
-        report_path = tmp_path / "report.json"
+        report_path, matrices_path = tmp_path / "report.json", tmp_path / "m.npz"
         code = main(
             ["compare", "--model-a", str(a), "--model-b", str(b),
-             "--output", str(report_path), "--emit-matrices"]
+             "--output", str(report_path), "--emit-matrices", str(matrices_path)]
         )
         assert code == 0
         doc = json.load(open(report_path))
         assert doc["deviations"]["dMax"] < 1e-9
-        assert set(doc["matrices"]) == {"C_r1", "C_r2", "T_C_r1", "T_C_r2", "T_LSQ"}
-        assert np.asarray(doc["matrices"]["C_r1"]).shape == (16, 2)
+        assert doc["matrices"]["path"] == str(matrices_path)
         assert doc["systems"]["a"]["sha256"] != doc["systems"]["b"]["sha256"]
+        # Psi = (1, x) and g = H f, so every transform is 1 (+) H.
+        conjugacy_map = np.block([[np.eye(1), np.zeros((1, 3))],
+                                  [np.zeros((3, 1)), CONJUGATING_H]])
+        with np.load(matrices_path, allow_pickle=False) as mats:
+            assert mats.files == ["C_r1", "C_r2", "T_C_r1", "T_C_r2", "T_LSQ"]
+            assert all(mats[name].shape == (4, 4) for name in mats.files)
+            for name in ("T_C_r1", "T_C_r2", "T_LSQ"):
+                np.testing.assert_allclose(mats[name], conjugacy_map, atol=1e-8)
+
+    @pytest.mark.parametrize("clash", ["output-is-model-a", "matrices-is-model-b",
+                                       "matrices-is-output"])
+    def test_output_naming_an_input_or_output_is_usage_error(self, tmp_path, capsys, clash):
+        a = identify_linear(tmp_path, "f")
+        b = identify_linear(tmp_path, "g", h=CONJUGATING_H)
+        report = tmp_path / "r.json"
+        output, matrices = {
+            "output-is-model-a": (a, tmp_path / "m.npz"),
+            "matrices-is-model-b": (report, b),
+            "matrices-is-output": (report, report),
+        }[clash]
+        listing, models = sorted(os.listdir(tmp_path)), (a.read_bytes(), b.read_bytes())
+        capsys.readouterr()
+        code = main(["compare", "--model-a", str(a), "--model-b", str(b),
+                     "--output", str(output), "--emit-matrices", str(matrices)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "names the same file as" in err
+        assert (a.read_bytes(), b.read_bytes()) == models
+        assert sorted(os.listdir(tmp_path)) == listing
 
     def test_reference_scaling_consistent(self, tmp_path):
         a = identify_linear(tmp_path, "f")
@@ -279,9 +322,9 @@ class TestCompare:
         a = identify_linear(tmp_path, "a", aux=aux, decay=1.02, n=50)
         b = identify_linear(tmp_path, "b", "--train-steps", "50" if aux else "45",
                             aux=aux, decay=0.7, n=50)
-        report_path = tmp_path / "r.json"
-        assert main(["compare", "--model-a", str(a), "--model-b", str(b),
-                     "--reference", "a", "--output", str(report_path)]) == 0
+        report_path, matrices_path = tmp_path / "r.json", tmp_path / "m.npz"
+        assert main(["compare", "--model-a", str(a), "--model-b", str(b), "--reference", "a",
+                     "--output", str(report_path), "--emit-matrices", str(matrices_path)]) == 0
         doc = json.loads(report_path.read_text())
 
         rec_a, rec_b = load_model(str(a)), load_model(str(b))
@@ -304,6 +347,23 @@ class TestCompare:
             name: {"operator": op, "trajectory": traj}
             for name, (op, traj) in report.psi_residuals.items()
         }
+
+        # The matrices file holds the library's transforms bit for bit, each
+        # in the dtype it is held in, and the report records its hash.
+        t_lsq = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
+        want = {"C_r1": c.c_r1, "C_r2": c.c_r2}
+        for name in ("C_r1", "C_r2"):
+            want[f"T_{name}"] = conjugacy.recover_t(want[name], rec_a.model, rec_b.model, t_lsq)
+        want["T_LSQ"] = t_lsq
+        assert doc["matrices"] == {"path": str(matrices_path),
+                                   "sha256": io.file_sha256(str(matrices_path))}
+        with np.load(matrices_path, allow_pickle=False) as mats:
+            assert mats.files == list(want)
+            for name, arr in want.items():
+                assert mats[name].dtype.str == ("<c16" if np.iscomplexobj(arr) else "<f8")
+                assert mats[name].shape == arr.shape
+                assert mats[name].tobytes() == np.ascontiguousarray(arr).tobytes()
+        assert want["T_LSQ"].dtype == np.float64 and want["C_r1"].dtype == np.complex128
 
     def test_singular_lsq_operator_residual_is_null(self, tmp_path):
         # Hopping models have n_psi = 1 + 4 + T > T snapshots, so Psi_f is
@@ -542,7 +602,8 @@ class TestExitCodes:
         assert argv[-2].lstrip("-") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["compare-output", "compare-model", "identify-input"])
+    @pytest.mark.parametrize("where", ["compare-output", "compare-matrices", "compare-model",
+                                       "identify-input"])
     def test_directory_given_as_a_file_is_usage_error(self, tmp_path, capsys, where):
         model = identify_linear(tmp_path, "lin")
         folder = tmp_path / "folder"
@@ -550,6 +611,8 @@ class TestExitCodes:
         argv = {
             "compare-output": ["compare", "--model-a", model, "--model-b", model,
                                "--output", folder],
+            "compare-matrices": ["compare", "--model-a", model, "--model-b", model,
+                                 "--output", tmp_path / "r.json", "--emit-matrices", folder],
             "compare-model": ["compare", "--model-a", folder, "--model-b", model,
                               "--output", tmp_path / "r.json"],
             "identify-input": ["identify", "--input", folder, "--output", tmp_path / "m.npz"],

@@ -492,10 +492,6 @@ class TestModelFile:
             path, tmp_path, capsys
         )
 
-    def test_encode_complex_matches_pair_lists(self, record):
-        for arr in (record.model.W, record.series.values, record.model.lambdas):
-            assert json.dumps(io.encode_complex(arr)) == json.dumps(encode_complex_v1(arr))
-
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_written_files_follow_umask(self, record, tmp_path, umask, mode):
         previous = os.umask(umask)

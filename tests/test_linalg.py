@@ -27,26 +27,26 @@ class TestSvd:
     def test_identity(self):
         res = svd(np.eye(3))
         np.testing.assert_allclose(res.S, np.ones(3), atol=1e-14)
-        np.testing.assert_allclose(res.U @ res.V.conj().T, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(res.U @ res.Vh, np.eye(3), atol=1e-14)
 
     def test_diagonal_complex_sorted(self):
         res = svd(np.diag([3.0, 4.0j]))
         np.testing.assert_allclose(res.S, [4.0, 3.0], atol=1e-14)
         # phases absorbed into the singular vectors: both are diagonal-modulus
         np.testing.assert_allclose(np.abs(res.U), np.eye(2)[:, ::-1], atol=1e-14)
-        np.testing.assert_allclose(np.abs(res.V), np.eye(2)[:, ::-1], atol=1e-14)
+        np.testing.assert_allclose(np.abs(res.Vh), np.eye(2)[:, ::-1], atol=1e-14)
 
     def test_random_reconstruction(self, rng):
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         res = svd(m)
-        rebuilt = (res.U * res.S) @ res.V.conj().T
+        rebuilt = (res.U * res.S) @ res.Vh
         assert np.linalg.norm(rebuilt - m) / np.linalg.norm(m) < 1e-10
 
     def test_orthonormal_factors(self, rng):
         m = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         res = svd(m)
         assert unitarity_defect(res.U) < 1e-10
-        assert unitarity_defect(res.V) < 1e-10
+        assert unitarity_defect(res.Vh) < 1e-10
         assert np.all(np.diff(res.S) <= 0)
 
     def test_unitary_input_unit_singular_values(self, rng):
