@@ -9,8 +9,9 @@ Subcommands:
 ``identify`` saves the model with its training series; ``compare`` re-lifts
 the first min(T_a, T_b) snapshots of each model's series to Phi = W Psi, as
 the library does, and compares them. ``--emit-matrices FILE`` writes C_r1,
-C_r2, T_C_r1, T_C_r2 and T_LSQ to one npz archive, which the report records
-by path and sha256. No output may name an input or another output.
+C_r2, T_C_r1, T_C_r2 and T_LSQ, from the comparison's Omega^-1 and pinv(Psi_a),
+to one npz archive, which the report records by path and sha256; a failed
+report removes it. No output may name an input or another output.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or I/O error
 (out-of-range, non-finite or conflicting flag values and missing, unreadable
@@ -162,7 +163,8 @@ def cmd_compare(args) -> int:
         for rec in (rec_a, rec_b)
     )
     normalization = {"a": "f", "b": "g", "none": "none"}[args.reference]
-    report = conjugacy.compare(rec_a.model, phi_a, rec_b.model, phi_b, normalization)
+    a, b = conjugacy.prepare(rec_a.model, phi_a), conjugacy.prepare(rec_b.model, phi_b)
+    report = conjugacy.compare_prepared(a, b, normalization)
     corners, devs, diag = report.corners, report.deviations, report.diagnostics
 
     doc = {
@@ -195,17 +197,21 @@ def cmd_compare(args) -> int:
         },
     }
     if args.emit_matrices:
-        t_lsq = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
+        t_lsq = phi_b.psi @ a.pinv_psi[0]
+        del a, b  # peak memory: their Phi and pinv(Psi_a) are not used again
         cs = {"C_r1": corners.c_r1, "C_r2": corners.c_r2}
-        ts = {f"T_{name}": conjugacy.recover_t(c, rec_a.model, rec_b.model, t_lsq)
-              for name, c in cs.items()}
+        ts = {f"T_{k}": conjugacy.recover_t(c, rec_a.model, rec_b.model, report.omega_inv[f"T_{k}"])
+              for k, c in cs.items()}
         io.save_matrices({**cs, **ts, "T_LSQ": t_lsq}, args.emit_matrices)
         doc["matrices"] = _file_entry(args.emit_matrices)
     doc["timings"] = {"totalSeconds": time.perf_counter() - started}
-    io.save_report(doc, args.output)
-    print(
-        f"d_min {devs.d_min:.9g}  d_avg {devs.d_avg:.9g}  d_max {devs.d_max:.9g}"
-    )
+    try:
+        io.save_report(doc, args.output)
+    except BaseException:
+        if args.emit_matrices:  # no archive of this run outlives its report
+            os.unlink(args.emit_matrices)
+        raise
+    print(f"d_min {devs.d_min:.9g}  d_avg {devs.d_avg:.9g}  d_max {devs.d_max:.9g}")
     print(
         f"r1(C_r1) {corners.r1_at_cr1:.9g}  r2(C_r1) {corners.r2_at_cr1:.9g}  "
         f"r1(C_r2) {corners.r1_at_cr2:.9g}  r2(C_r2) {corners.r2_at_cr2:.9g}"
@@ -292,22 +298,10 @@ def cmd_hopping(args) -> int:
     primary = hopper.export_primary(trace, mc)
 
     prefix = args.output_prefix
-    io.write_trajectory_csv(
-        f"{prefix}_trace.csv",
-        ["y", "ydot", "yddot", "u", "F_L", "sensor", "contact"],
-        np.vstack(
-            [
-                trace.y,
-                trace.ydot,
-                trace.yddot,
-                trace.u,
-                trace.force,
-                trace.sensor,
-                trace.contact.astype(float),
-            ]
-        ),
-        t=trace.t,
-    )
+    columns = {"y": trace.y, "ydot": trace.ydot, "yddot": trace.yddot, "u": trace.u,
+               "F_L": trace.force, "sensor": trace.sensor, "contact": trace.contact.astype(float)}
+    io.write_trajectory_csv(f"{prefix}_trace.csv", list(columns),
+                            np.vstack(list(columns.values())), t=trace.t)
     n_mc = mc.mc.shape[0]
     io.write_trajectory_csv(
         f"{prefix}_mc.csv",

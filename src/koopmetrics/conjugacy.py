@@ -20,7 +20,8 @@ T_C as close as possible to the plain least squares map T_LSQ = Psi_g Psi_f+.
 W is invertible and C unitary, so (C W_f)^-1 = R_f C* with R = W^-1, the
 right eigenvectors each model holds with W: nothing here inverts or solves
 with W. ``compare`` fits T_C Psi_f = R_g Omega^-1 C (W_f Psi_f) in O(n^2 T)
-and keeps no T; ``lsq_transform`` and ``recover_t`` build them on request.
+and keeps no T, only each Omega^-1; ``recover_t`` builds T_C from it and
+``lsq_transform`` builds T_LSQ, on request.
 
 Their operator residuals ||K_f - T^-1 K_g T||_F need neither K nor a solve
 with T: K = R Lambda W (gated by ``decompose``) and T_C^-1 = R_f C* Omega W_g
@@ -51,8 +52,8 @@ model's own. One factorization depends on the reference system f alone,
 pinv(Psi_f) for T_LSQ. A ``PreparedSystem`` computes it on first use and
 keeps it, so a system that only plays g factorizes nothing.
 ``compare_prepared`` does the rest for each pair: the Procrustes SVD, the
-assignment, gamma as an O(n T) diagonal, M, the fits and every residual.
-``compare`` is the two together, for a single pair.
+assignment, gamma as an O(n T) diagonal, M, Omega^-1, the fits and every
+residual. ``compare`` is the two together, for a single pair.
 """
 from __future__ import annotations
 
@@ -160,6 +161,8 @@ class ConjugacyReport:
     snapshots than observables), since T_LSQ = Psi_g Psi_f+ is then singular.
     The T_LSQ trajectory residual is exactly 0.0 when that rank equals the
     snapshot count T, where T_LSQ Psi_f = Psi_g holds in exact arithmetic.
+    ``omega_inv`` maps "T_C_r1" and "T_C_r2" to the Omega^-1 that the fit
+    used, after replacement, in g's complex eigenbasis: ``recover_t``'s input.
     """
 
     corners: ParetoCorners
@@ -168,6 +171,7 @@ class ConjugacyReport:
     ref_norms: tuple[float, float]
     diagnostics: CompareDiagnostics
     psi_residuals: dict[str, tuple[float | None, float]] = field(default_factory=dict)
+    omega_inv: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -444,41 +448,28 @@ def lsq_transform(psi_f, psi_g) -> np.ndarray:
     return pg @ pinv(pf)
 
 
-def recover_t(c, model_f: KoopmanModel, model_g: KoopmanModel, t_lsq: np.ndarray) -> np.ndarray:
+def recover_t(c, model_f: KoopmanModel, model_g: KoopmanModel, omega_inv) -> np.ndarray:
     """Pull a unitary eigenfunction-space C back to observable space.
 
-    T_C = (Omega W_g)^-1 C W_f with Omega^-1 = Diag(W_g T_LSQ R_f C*), for
-    the T_LSQ = ``lsq_transform(psi_f, psi_g)`` of the two trajectories.
-    Near-zero entries of Omega^-1 carry no information and are replaced by
-    1 (with a warning). Built in complex arithmetic; see the module docstring.
+    T_C = R_g Omega^-1 C W_f = (Omega W_g)^-1 C W_f, for the Omega^-1 that
+    ``compare`` fitted with: ``report.omega_inv["T_C_r1"]`` for C_r1,
+    ``["T_C_r2"]`` for C_r2. Built in complex arithmetic, forming no M.
     """
-    c = np.asarray(c, dtype=complex)
-    m = model_g.W @ t_lsq @ model_f.R
-    omega_inv = np.einsum("ij,ij->i", m, c.conj())
-    return _pull_back(omega_inv, c @ model_f.W, model_g.R, COMPLEX_BASIS)[0]
+    return _pull_back(np.asarray(omega_inv), np.asarray(c) @ model_f.W, model_g.R, COMPLEX_BASIS)
 
 
-def _pull_back(omega_inv, c_x, r_g, basis_g: EigenBasis) -> tuple[np.ndarray, int]:
-    """(R_g Omega^-1 C X, number of Omega^-1 entries replaced by 1).
+def _pull_back(omega_inv, c_x, r_g, basis_g: EigenBasis) -> np.ndarray:
+    """R_g Omega^-1 C X.
 
     ``omega_inv`` = Diag(M C*) with M = W_g T_LSQ R_f, and ``c_x`` = C X,
     both with the rows of g's complex eigenbasis; ``r_g`` is R_g in
     ``basis_g``. X = W_f gives T_C; X = W_f Psi_f gives T_C Psi_f, in
     O(n^2 T). ``c_x`` is scaled in place.
     """
-    tiny = np.abs(omega_inv) < OMEGA_ZERO_TOL
-    replaced = int(tiny.sum())
-    if replaced:
-        warnings.warn(
-            f"{replaced} scale entries below {OMEGA_ZERO_TOL:.0e} replaced by 1",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        omega_inv[tiny] = 1.0
     # Omega^-1 as the left operand, as ever: numpy's complex product need
     # not be bitwise commutative.
     np.multiply(omega_inv[:, None], c_x, out=c_x)
-    return _matmul(r_g, basis_g.rows_in(c_x)), replaced
+    return _matmul(r_g, basis_g.rows_in(c_x))
 
 
 def _operator_residual(r_f, w_f, bracket: np.ndarray, basis_f: EigenBasis) -> float:
@@ -621,8 +612,19 @@ def compare_prepared(
     m_b = w_g_b @ t_lsq @ r_f_b
     del t_lsq
     m_rows = bg.rows_out(m_b)
-    omega_c1 = np.einsum("ij,ij->i", m_rows, c1_rows.conj())
-    omega_c2 = bf.cols_out_at(m_rows, inv_pi) * gamma.conj()
+    omega_inv = {
+        "T_C_r1": np.einsum("ij,ij->i", m_rows, c1_rows.conj()),
+        "T_C_r2": bf.cols_out_at(m_rows, inv_pi) * gamma.conj(),
+    }
+    replaced = {}
+    for name, scales in omega_inv.items():
+        # An entry near 0 carries no information: it becomes 1.
+        tiny = np.abs(scales) < OMEGA_ZERO_TOL
+        scales[tiny] = 1.0
+        replaced[name] = int(tiny.sum())
+        if replaced[name]:
+            warnings.warn(f"{name}: {replaced[name]} scale entries below "
+                          f"{OMEGA_ZERO_TOL:.0e} replaced by 1", RuntimeWarning, stacklevel=2)
     # Peak memory: no n x n or n x T temporary outlives its use.
     del m_rows, c1_rows
     operator_lsq = None  # T_LSQ is singular below full rank
@@ -633,12 +635,12 @@ def compare_prepared(
     del m_b
     # T_C Psi_f = R_g Omega^-1 C (W_f Psi_f), and W_f Psi_f = Phi_f / scales.
     c_w_psi_f = bg.rows_out(c1_b @ bf.rows_in(pf / phi_f.scales[:, None]))
-    t_psi_f, replaced_c1 = _pull_back(omega_c1, c_w_psi_f, r_g_b, bg)
+    t_psi_f = _pull_back(omega_inv["T_C_r1"], c_w_psi_f, r_g_b, bg)
     fit_c1 = fit(t_psi_f)
     del t_psi_f, c_w_psi_f, c1_b
     c_w_psi_f = pf[inv_pi]
     c_w_psi_f *= (gamma / phi_f.scales[inv_pi])[:, None]
-    t_psi_f, replaced_c2 = _pull_back(omega_c2, c_w_psi_f, r_g_b, bg)
+    t_psi_f = _pull_back(omega_inv["T_C_r2"], c_w_psi_f, r_g_b, bg)
     fit_c2 = fit(t_psi_f)
     del t_psi_f, c_w_psi_f
     procrustes_rank = numerical_rank(sigma)
@@ -646,7 +648,7 @@ def compare_prepared(
         unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
         assignment_cost=float(np.sum(np.abs(bracket_c2) ** 2)),
         lsq_rank=lsq_rank,
-        omega_replaced={"T_C_r1": replaced_c1, "T_C_r2": replaced_c2},
+        omega_replaced=replaced,
         procrustes_rank=procrustes_rank,
         procrustes_sigma_min=float(sigma[procrustes_rank - 1]) if procrustes_rank else 0.0,
     )
@@ -662,4 +664,5 @@ def compare_prepared(
         ref_norms=(phi_norm, lam_norm),
         diagnostics=diagnostics,
         psi_residuals=residuals,
+        omega_inv=omega_inv,
     )

@@ -143,9 +143,11 @@ def _atomic_file(path: str):
         with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the file asked for
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

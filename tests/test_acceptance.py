@@ -87,7 +87,7 @@ def test_02_conjugate_transform_recovery():
     (model_f, phi_f), (model_g, phi_g) = benchmark_system(p, "f"), benchmark_system(p, "g")
     report = compare(model_f, phi_f, model_g, phi_g, "f")
     t_lsq = lsq_transform(phi_f.psi, phi_g.psi)
-    t_c_r1 = recover_t(report.corners.c_r1, model_f, model_g, t_lsq)
+    t_c_r1 = recover_t(report.corners.c_r1, model_f, model_g, report.omega_inv["T_C_r1"])
     worst = float(np.max(np.abs(t_c_r1 - T_REFERENCE)))
     gate.check(worst < 1e-2, f"max entry error {worst:.3e} not < 1e-2")
     rel = float(np.linalg.norm(t_c_r1 - t_lsq) / np.linalg.norm(t_lsq))

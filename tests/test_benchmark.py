@@ -154,11 +154,12 @@ class TestPublishedValues:
 
     @staticmethod
     def transforms(p):
-        """(T_C_r1, T_LSQ) of the f-g pair at p, built from compare's C_r1."""
+        """(T_C_r1, T_LSQ) of the f-g pair at p, T_C_r1 from compare's C_r1 and Omega^-1."""
         (model_f, phi_f), (model_g, phi_g) = benchmark_system(p, "f"), benchmark_system(p, "g")
         report = compare(model_f, phi_f, model_g, phi_g, "f")
         t_lsq = lsq_transform(phi_f.psi, phi_g.psi)
-        return recover_t(report.corners.c_r1, model_f, model_g, t_lsq), t_lsq
+        t_c_r1 = recover_t(report.corners.c_r1, model_f, model_g, report.omega_inv["T_C_r1"])
+        return t_c_r1, t_lsq
 
     def test_transform_recovery_at_conjugacy_default_start(self):
         t_c_r1, t_lsq = self.transforms(BenchmarkParams())

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior, including exit codes."""
+import errno
 import json
 import os
 import zipfile
@@ -338,7 +339,8 @@ class TestCompare:
         )
         for phi in (phi_a, phi_b):
             np.testing.assert_allclose(np.abs(phi.phi).max(axis=1), 1.0, rtol=1e-12)
-        report = conjugacy.compare(rec_a.model, phi_a, rec_b.model, phi_b, "f")
+        prepared_a = conjugacy.prepare(rec_a.model, phi_a)
+        report = conjugacy.compare_prepared(prepared_a, conjugacy.prepare(rec_b.model, phi_b), "f")
         c, d = report.corners, report.deviations
         assert doc["deviations"] == {"dMin": d.d_min, "dAvg": d.d_avg, "dMax": d.d_max}
         assert doc["residuals"] == {"r1_cr1": c.r1_at_cr1, "r2_cr1": c.r2_at_cr1,
@@ -349,12 +351,13 @@ class TestCompare:
         }
 
         # The matrices file holds the library's transforms bit for bit, each
-        # in the dtype it is held in, and the report records its hash.
-        t_lsq = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
+        # in the dtype it is held in, and the report records its hash: each
+        # T_C from compare's Omega^-1, and T_LSQ as lsq_transform gives it.
         want = {"C_r1": c.c_r1, "C_r2": c.c_r2}
         for name in ("C_r1", "C_r2"):
-            want[f"T_{name}"] = conjugacy.recover_t(want[name], rec_a.model, rec_b.model, t_lsq)
-        want["T_LSQ"] = t_lsq
+            want[f"T_{name}"] = conjugacy.recover_t(want[name], rec_a.model, rec_b.model,
+                                                    report.omega_inv[f"T_{name}"])
+        want["T_LSQ"] = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
         assert doc["matrices"] == {"path": str(matrices_path),
                                    "sha256": io.file_sha256(str(matrices_path))}
         with np.load(matrices_path, allow_pickle=False) as mats:
@@ -364,6 +367,30 @@ class TestCompare:
                 assert mats[name].shape == arr.shape
                 assert mats[name].tobytes() == np.ascontiguousarray(arr).tobytes()
         assert want["T_LSQ"].dtype == np.float64 and want["C_r1"].dtype == np.complex128
+
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_one_pinv_and_one_procrustes_svd(self, tmp_path, monkeypatch, emit):
+        # --emit-matrices builds every T from what the comparison holds:
+        # no second pinv(Psi_a), no second SVD.
+        a = identify_linear(tmp_path, "a", aux=True, n=50)
+        b = identify_linear(tmp_path, "b", aux=True, decay=0.7, n=50)
+        calls = {"pinv": [], "svd": []}
+
+        def counted(name):
+            original = getattr(conjugacy, name)
+
+            def wrapper(m, *args, **kwargs):
+                calls[name].append(np.shape(m))
+                return original(m, *args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(conjugacy, name, counted(name))
+        argv = ["compare", "--model-a", str(a), "--model-b", str(b),
+                "--output", str(tmp_path / "r.json")]
+        assert main(argv + (["--emit-matrices", str(tmp_path / "m.npz")] if emit else [])) == 0
+        n_psi, n_steps = 1 + 3 + 50, 50
+        assert calls == {"pinv": [(n_psi, n_steps)], "svd": [(n_psi, n_psi)]}
 
     def test_singular_lsq_operator_residual_is_null(self, tmp_path):
         # Hopping models have n_psi = 1 + 4 + T > T snapshots, so Psi_f is
@@ -602,8 +629,8 @@ class TestExitCodes:
         assert argv[-2].lstrip("-") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["compare-output", "compare-matrices", "compare-model",
-                                       "identify-input"])
+    @pytest.mark.parametrize("where", ["compare-output", "compare-output-emitting",
+                                       "compare-matrices", "compare-model", "identify-input"])
     def test_directory_given_as_a_file_is_usage_error(self, tmp_path, capsys, where):
         model = identify_linear(tmp_path, "lin")
         folder = tmp_path / "folder"
@@ -611,6 +638,9 @@ class TestExitCodes:
         argv = {
             "compare-output": ["compare", "--model-a", model, "--model-b", model,
                                "--output", folder],
+            # The archive is written first and removed again when the report fails.
+            "compare-output-emitting": ["compare", "--model-a", model, "--model-b", model,
+                                        "--output", folder, "--emit-matrices", tmp_path / "m.npz"],
             "compare-matrices": ["compare", "--model-a", model, "--model-b", model,
                                  "--output", tmp_path / "r.json", "--emit-matrices", folder],
             "compare-model": ["compare", "--model-a", folder, "--model-b", model,
@@ -621,6 +651,9 @@ class TestExitCodes:
         assert main([str(arg) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if where.startswith("compare-output"):
+            # The failed rename names the report path, not the temp file.
+            assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{folder}'\n"
         # Nothing written, no temp file left behind.
         assert sorted(os.listdir(tmp_path)) == ["folder", "lin.csv", "lin.json"]
         assert os.listdir(folder) == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from koopmetrics import conjugacy
+from koopmetrics.benchmark import BenchmarkParams, benchmark_system
 from koopmetrics.conjugacy import (
     ContractViolationError,
     ParetoCorners,
@@ -41,6 +42,14 @@ from conftest import (
     raw_observables,
     real_system,
 )
+
+
+def dense_t(c, model_f, model_g, t_lsq):
+    """Reference T_C = R_g Omega^-1 C W_f, Omega^-1 = Diag(M C*) with M = W_g T_LSQ R_f
+    formed densely in complex arithmetic, entries below OMEGA_ZERO_TOL set to 1."""
+    omega_inv = np.einsum("ij,ij->i", model_g.W @ t_lsq @ model_f.R, np.conj(c))
+    omega_inv[np.abs(omega_inv) < conjugacy.OMEGA_ZERO_TOL] = 1.0
+    return recover_t(c, model_f, model_g, omega_inv)
 
 
 def random_phi(rng, n, m):
@@ -667,8 +676,53 @@ class TestPsiSpace:
         k = random_diagonalizable(rng, 4)
         psi = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
         model, phi = lifted_system(k, psi)
-        t = recover_t(np.eye(4), model, model, lsq_transform(psi, psi))
-        np.testing.assert_allclose(t, np.eye(4), atol=1e-8)
+        report = compare(model, phi, model, phi)
+        for name, c in (("T_C_r1", report.corners.c_r1), ("T_C_r2", report.corners.c_r2)):
+            t = recover_t(c, model, model, report.omega_inv[name])
+            np.testing.assert_allclose(t, np.eye(4), atol=1e-8)
+
+    @pytest.mark.parametrize("make", [random_system, real_system, "replacing"])
+    def test_omega_inv_is_the_dense_diagonal(self, rng, make):
+        # Omega^-1 = Diag(W_g T_LSQ R_f C*), formed here in complex arithmetic
+        # from lsq_transform and the models' complex W and R. "replacing" is
+        # a sweep point where an entry of T_C_r2's Omega^-1 is replaced by 1.
+        if make == "replacing":
+            p = BenchmarkParams(alpha=2.0, beta=1.55, x0=(1.1, 0.4))
+            (model_f, phi_f), (model_g, phi_g) = benchmark_system(p, "f"), benchmark_system(p, "g")
+        else:
+            (model_f, phi_f), (model_g, phi_g) = make(rng, 12, 30), make(rng, 12, 30)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = compare(model_f, phi_f, model_g, phi_g, "f")
+        replaced = report.diagnostics.omega_replaced
+        assert len(caught) == sum(map(bool, replaced.values()))
+        assert (replaced["T_C_r2"] > 0) == (make == "replacing")
+        n = model_f.n_psi
+        m = model_g.W @ lsq_transform(phi_f.psi, phi_g.psi) @ model_f.R
+        tol = n * np.finfo(float).eps * np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
+        for name, c in (("T_C_r1", report.corners.c_r1), ("T_C_r2", report.corners.c_r2)):
+            got, want = report.omega_inv[name], np.einsum("ij,ij->i", m, c.conj())
+            tiny = np.abs(want) < conjugacy.OMEGA_ZERO_TOL
+            assert tiny.sum() == replaced[name]
+            assert np.all(got[tiny] == 1.0)
+            assert np.linalg.norm((got - want)[~tiny]) <= tol * np.linalg.norm(want)
+
+    def test_recover_t_replaces_nothing_and_warns_nothing(self):
+        # At this sweep point compare replaces an entry of T_C_r2's Omega^-1
+        # and warns once; recover_t takes that Omega^-1 as it is.
+        p = BenchmarkParams(alpha=2.0, beta=1.55, x0=(1.1, 0.4))
+        (model_f, phi_f), (model_g, phi_g) = benchmark_system(p, "f"), benchmark_system(p, "g")
+        with pytest.warns(RuntimeWarning, match="T_C_r2: 1 scale entries"):
+            report = compare(model_f, phi_f, model_g, phi_g, "f")
+        assert report.diagnostics.omega_replaced == {"T_C_r1": 0, "T_C_r2": 1}
+        omega_inv = report.omega_inv["T_C_r2"]
+        held = omega_inv.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = recover_t(report.corners.c_r2, model_f, model_g, omega_inv)
+        np.testing.assert_array_equal(omega_inv, held)
+        want = (model_g.R * omega_inv) @ report.corners.c_r2 @ model_f.W
+        assert np.linalg.norm(t - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n_steps", [6, 30])
     def test_lsq_trajectory_residual(self, rng, n_steps):
@@ -710,16 +764,15 @@ class TestPsiSpace:
         cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
         tol = n * np.finfo(float).eps * cond
         corners = report.corners
-        # The transforms as ``--emit-matrices`` builds them, from the carried Psi.
+        # The transforms as ``--emit-matrices`` builds them: T_LSQ from the
+        # carried Psi, each T_C from the Omega^-1 that compare fitted with.
         transforms = {"T_LSQ": lsq_transform(phi_f.psi, phi_g.psi)}
         for name, c in (("T_C_r1", corners.c_r1), ("T_C_r2", corners.c_r2)):
-            transforms[name] = recover_t(c, model_f, model_g, transforms["T_LSQ"])
+            transforms[name] = recover_t(c, model_f, model_g, report.omega_inv[name])
         for got, want in (
             (transforms["T_LSQ"], t_lsq),
             (transforms["T_C_r1"], pull_back(corners.c_r1)),
             (transforms["T_C_r2"], pull_back(corners.c_r2)),
-            (recover_t(corners.c_r1, model_f, model_g, lsq_transform(psi_f, psi_g)),
-             pull_back(corners.c_r1)),
         ):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
@@ -834,14 +887,12 @@ class TestStructuredCr2MatchesDense:
         assert (diag.lsq_rank < n) if fewer_steps else (diag.lsq_rank == n)
 
         # compare fits T_C Psi_f = R_g Omega^-1 C (W_f Psi_f) without forming
-        # T_C; the fit of the dense T_C that recover_t builds is the reference.
+        # T_C; the fit of the dense T_C built from a dense M is the reference.
         psi_f, psi_g = phi_f.psi, phi_g.psi
         t_lsq = lsq_transform(psi_f, psi_g)
         cond = np.linalg.cond(model_f.W) * np.linalg.cond(model_g.W)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            t_c1 = recover_t(corners.c_r1, model_f, model_g, t_lsq)
-            t_c2 = recover_t(c2, model_f, model_g, t_lsq)
+        t_c1 = dense_t(corners.c_r1, model_f, model_g, t_lsq)
+        t_c2 = dense_t(c2, model_f, model_g, t_lsq)
         for name, t in (("T_C_r1", t_c1), ("T_C_r2", t_c2)):
             want = np.linalg.norm(psi_g - t @ psi_f)
             got = report.psi_residuals[name][1]
@@ -898,7 +949,7 @@ class TestRealBasis:
         psi_g = reconstruct_observables(model_g, phi_g)
         t_lsq = lsq_transform(psi_f, psi_g)
         # The fits' reference: ||Psi_g - T Psi_f|| of the carried Psi, with
-        # the dense T that recover_t builds from the complex helpers' C.
+        # the dense T that dense_t builds from the complex helpers' C.
         carried_f, carried_g = phi_f.psi, phi_g.psi
         psi_scale = np.linalg.norm(carried_f)
 
@@ -906,10 +957,8 @@ class TestRealBasis:
             return np.linalg.norm(carried_g - t @ carried_f)
 
         m = model_g.W @ t_lsq @ model_f.R
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            t_c1 = recover_t(c1, model_f, model_g, t_lsq)
-            t_c2 = recover_t(c2, model_f, model_g, t_lsq)
+        t_c1 = dense_t(c1, model_f, model_g, t_lsq)
+        t_c2 = dense_t(c2, model_f, model_g, t_lsq)
 
         np.testing.assert_array_equal(corners.permutation, pi)
         eps = np.finfo(float).eps
