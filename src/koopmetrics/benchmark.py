@@ -15,8 +15,6 @@ residual at any realistic sampling rate.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,8 +42,6 @@ SWEEP_COLUMNS = (
     "c_gap",
     "error",
 )
-
-SWEEP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -162,31 +158,18 @@ def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
     return np.round(lo + step * np.arange(count), 12)
 
 
-def _sweep_point(args) -> tuple:
-    alpha, beta, p, f = args
-    point = replace(p, alpha=float(alpha), beta=float(beta))
+def _sweep_row(f: conjugacy.PreparedSystem, p: BenchmarkParams, alpha, beta) -> tuple:
+    alpha, beta = float(alpha), float(beta)
     try:
-        g = conjugacy.prepare(*benchmark_system(point, "g"))
+        g = conjugacy.prepare(*benchmark_system(replace(p, alpha=alpha, beta=beta), "g"))
         report = conjugacy.compare_prepared(f, g, "f")
-        c = report.corners
-        c_r2 = c.c_r2
-        c_gap = float(np.linalg.norm(c.c_r1 - c_r2) / np.linalg.norm(c_r2))
-        return (
-            float(alpha),
-            float(beta),
-            report.deviations.d_min,
-            report.deviations.d_avg,
-            report.deviations.d_max,
-            c.r1_at_cr1,
-            c.r2_at_cr1,
-            c.r1_at_cr2,
-            c.r2_at_cr2,
-            c_gap,
-            "",
-        )
+        c, devs = report.corners, report.deviations
+        c_gap = float(np.linalg.norm(c.c_r1 - c.c_r2) / np.linalg.norm(c.c_r2))
+        values = (devs.d_min, devs.d_avg, devs.d_max,
+                  c.r1_at_cr1, c.r2_at_cr1, c.r1_at_cr2, c.r2_at_cr2, c_gap, "")
     except Exception as exc:  # per-point failures become rows, not aborts
-        nan = float("nan")
-        return (float(alpha), float(beta)) + (nan,) * 8 + (f"{type(exc).__name__}: {exc}",)
+        values = (float("nan"),) * 8 + (f"{type(exc).__name__}: {exc}",)
+    return (alpha, beta) + values
 
 
 def sweep(
@@ -195,28 +178,25 @@ def sweep(
     p: BenchmarkParams,
     parallel: int = 1,
 ) -> list[tuple]:
-    """Deviation table over an (alpha, beta) grid, one row per point.
+    """Deviation table over an (alpha, beta) grid, one row per point, sorted by (alpha, beta).
 
-    System f depends on neither alpha nor beta, so it is built, prepared and
-    factorized once (a failure there raises), and every point, in any
-    worker, compares against that one prepared f. Each point builds only g,
-    and a failure there becomes its row. At most ``parallel`` workers run,
-    and no more than the CPUs or the chunks of SWEEP_CHUNK points. Rows are
-    sorted by (alpha, beta), so any worker count yields identical output.
+    The sweep runs in one process. System f depends on neither alpha nor
+    beta, so it is built, prepared and factorized once, and every point
+    compares against it. Each point builds only g, and a failure there
+    becomes its row. ``parallel`` must be 1 (else ValueError); it is kept
+    only for ``bench/workloads.py``, and the next change to the benchmark
+    harness removes it.
     """
+    if parallel != 1:
+        raise ValueError(f"the sweep runs in one process: parallel must be 1, got {parallel}")
     alphas = np.asarray(alpha_values, dtype=float)
     betas = np.asarray(beta_values, dtype=float)
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("sweep ranges must be nonempty")
     f = conjugacy.prepare(*benchmark_system(p, "f"))
-    # Factorize f now, before any worker receives a pickled copy of it.
+    # Factorize f before the loop: a failure here raises, where inside the
+    # loop it would become every point's row.
     f.pinv_psi
-    points = [(a, b, p, f) for a in alphas for b in betas]
-    workers = min(parallel, os.cpu_count() or 1, -(-len(points) // SWEEP_CHUNK))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points, chunksize=SWEEP_CHUNK))
-    else:
-        rows = [_sweep_point(pt) for pt in points]
+    rows = [_sweep_row(f, p, a, b) for a in alphas for b in betas]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows

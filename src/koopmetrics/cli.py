@@ -14,8 +14,10 @@ to one npz archive, which the report records by path and sha256; a failed
 report removes it. No output may name an input or another output.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or I/O error
-(out-of-range, non-finite or conflicting flag values and missing, unreadable
-or malformed files included). ``main`` alone maps a failure to its exit code.
+(unknown, missing or unparsable flags, out-of-range, non-finite or
+conflicting flag values and missing, unreadable or malformed files
+included). ``main`` alone maps a failure to its exit code, with a one-line
+message on stderr.
 """
 from __future__ import annotations
 
@@ -48,6 +50,13 @@ COMPUTE_EXIT = 1
 
 class UsageFailure(Exception):
     """Bad flags or unreadable/unwritable files."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors raise UsageFailure, for ``main`` to report in one line."""
+
+    def error(self, message):
+        raise UsageFailure(message)
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -224,15 +233,13 @@ def cmd_benchmark_sweep(args) -> int:
     x0 = _parse_floats(args.x0, "--x0")
     if len(x0) != 2:
         raise UsageFailure(f"--x0 expects two numbers, got {len(x0)}")
-    if args.parallel < 1:
-        raise UsageFailure(f"--parallel must be at least 1, got {args.parallel}")
     try:
         params = benchmark.BenchmarkParams(dt=args.dt, steps=args.steps, x0=x0)
         alphas = benchmark.grid_values(args.alpha_min, args.alpha_max, args.step)
         betas = benchmark.grid_values(args.beta_min, args.beta_max, args.step)
     except ValueError as exc:
         raise UsageFailure(str(exc))
-    rows = benchmark.sweep(alphas, betas, params, parallel=args.parallel)
+    rows = benchmark.sweep(alphas, betas, params)
     io.write_sweep_csv(args.output, rows)
     clean = [r for r in rows if not r[-1]]
     failed = len(rows) - len(clean)
@@ -324,7 +331,7 @@ def cmd_hopping(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="koopmetrics",
         description="Deviation-from-conjugacy pseudometrics for dynamical systems",
     )
@@ -360,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--steps", type=int, default=1000)
     p_sw.add_argument("--x0", default="1,0.5")
     p_sw.add_argument("--output", required=True)
-    p_sw.add_argument("--parallel", type=int, default=1)
     p_sw.set_defaults(func=cmd_benchmark_sweep)
 
     p_hop = sub.add_parser("hopping", help="simulate the hopping example")
@@ -377,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageFailure(f"--{name.replace('_', '-')} must be finite, got {value}")

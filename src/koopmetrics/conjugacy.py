@@ -220,7 +220,7 @@ def _checked_unitary(defect: float) -> float:
 
 
 def _spectral_bracket(
-    lf, lg, c, basis_f: EigenBasis = COMPLEX_BASIS, basis_g: EigenBasis = COMPLEX_BASIS
+    lf, lg, c, basis_f: EigenBasis, basis_g: EigenBasis
 ) -> tuple[np.ndarray, float]:
     """(C* Lambda_g C - Lambda_f, unitarity defect of C) for a C that passes as unitary.
 
@@ -235,7 +235,8 @@ def _spectral_bracket(
 def residual_r2(lambdas_f, lambdas_g, c) -> float:
     """Spectral residual || Lambda_f - C* Lambda_g C ||_F for unitary C."""
     lf, lg = _spectra(lambdas_f, lambdas_g)
-    return float(np.linalg.norm(_spectral_bracket(lf, lg, np.asarray(c, dtype=complex))[0]))
+    c = np.asarray(c, dtype=complex)
+    return float(np.linalg.norm(_spectral_bracket(lf, lg, c, COMPLEX_BASIS, COMPLEX_BASIS)[0]))
 
 
 def solve_c_r1(phi_f, phi_g, return_singular_values: bool = False):
@@ -309,12 +310,6 @@ def solve_permutation(lambdas_f, lambdas_g) -> np.ndarray:
     lf, lg = _spectra(lambdas_f, lambdas_g)
     cost = np.abs(lf[:, None] - lg[None, :]) ** 2
     return _assignment(cost)
-
-
-def assignment_cost(lambdas_f, lambdas_g, permutation) -> float:
-    """Total squared matching cost of a given permutation."""
-    lf, lg = _spectra(lambdas_f, lambdas_g)
-    return float(np.sum(np.abs(lf - lg[np.asarray(permutation)]) ** 2))
 
 
 def permutation_matrix(permutation) -> np.ndarray:

@@ -257,18 +257,6 @@ def save_report(report_doc: dict, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1))
 
 
-def load_report(path: str) -> dict:
-    """Read a report; FileFormatError if it is not a JSON object of this schema."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: not a JSON report ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("schemaVersion") != REPORT_SCHEMA_VERSION:
-        raise FileFormatError(f"{path}: unsupported report schema")
-    return doc
-
-
 def write_trajectory_csv(path: str, names, columns: np.ndarray, t: np.ndarray | None = None) -> None:
     """Rows are time steps; one named column per observable, 17 digits."""
     arr = np.asarray(columns, dtype=float)

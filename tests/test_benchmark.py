@@ -16,7 +16,7 @@ from koopmetrics.benchmark import (
     sweep,
 )
 from koopmetrics.conjugacy import compare, lsq_transform, recover_t
-from koopmetrics.linalg import eig
+from koopmetrics.linalg import FactorizationError, eig
 
 # Transform recovered at exact conjugacy with the default start (g launched
 # from h(x0)): the conjugating map itself, extended to the squared observable.
@@ -211,11 +211,12 @@ class TestSweep:
             (0.9, 0.95), (0.9, 1.1), (1.0, 0.95), (1.0, 1.1)
         ]
 
-    def test_parallel_matches_serial(self):
-        # 36 points make two chunks, so two workers run where two CPUs are.
+    def test_parallel_must_be_one(self):
         p = BenchmarkParams(steps=200)
-        alphas, betas = np.linspace(0.9, 1.1, 9), [0.95, 1.0, 1.05, 1.1]
-        assert sweep(alphas, betas, p, parallel=2) == sweep(alphas, betas, p)
+        alphas, betas = [0.9, 1.0], [0.95, 1.1]
+        with pytest.raises(ValueError, match="parallel must be 1"):
+            sweep(alphas, betas, p, parallel=2)
+        assert sweep(alphas, betas, p, parallel=1) == sweep(alphas, betas, p)
 
     def test_point_failure_recorded_not_fatal(self, monkeypatch):
         real = benchmark.benchmark_system
@@ -259,35 +260,14 @@ class TestSweep:
             devs = compare_pair(replace(p, alpha=alpha, beta=beta)).deviations
             assert tuple(values[:3]) == (devs.d_min, devs.d_avg, devs.d_max)
 
-    @pytest.mark.parametrize(
-        "parallel, cpus, n_alpha, workers",
-        [(1000, 64, 9, 3), (1000, 2, 9, 2), (8, 64, 3, None), (2, None, 9, None)],
-        ids=["chunks", "cpus", "one-chunk-serial", "cpu-count-unknown-serial"],
-    )
-    def test_workers_bounded_by_cpus_and_chunks(self, monkeypatch, parallel, cpus, n_alpha, workers):
-        # 9 x 9 points make three chunks of 32, 3 x 9 make one. No worker
-        # process starts: the fake pool records its size and maps in process.
-        started = []
+    def test_f_factorization_failure_raises(self, monkeypatch):
+        # f is factorized before the loop, so its failure is the sweep's, not every row's.
+        def failing(*args, **kwargs):
+            raise FactorizationError("synthetic pinv failure")
 
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(benchmark.os, "cpu_count", lambda: cpus)
-        grid = np.linspace(0.8, 1.2, 9)
-        rows = sweep(grid[:n_alpha], grid, BenchmarkParams(steps=50), parallel=parallel)
-        assert len(rows) == n_alpha * 9
-        assert started == ([] if workers is None else [workers])
+        monkeypatch.setattr(conjugacy, "pinv", failing)
+        with pytest.raises(FactorizationError, match="synthetic pinv failure"):
+            sweep([0.9, 1.0], [1.0], BenchmarkParams(steps=200))
 
     def test_smooth_near_conjugacy(self):
         alphas = [0.99, 1.0, 1.01]

@@ -300,6 +300,15 @@ class TestCompare:
         assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert not (tmp_path / "r.json").exists()
 
+    def test_missing_required_flag_is_one_line_usage_error(self, tmp_path, capsys):
+        model = identify_linear(tmp_path, "lin")
+        capsys.readouterr()
+        code = main(["compare", "--model-a", str(model), "--output", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: the following arguments are required: --model-b\n"
+        assert not (tmp_path / "r.json").exists()
+
 
     def test_model_missing_key_is_usage_error(self, tmp_path, capsys):
         good = identify_linear(tmp_path, "good")
@@ -451,16 +460,6 @@ class TestBenchmarkSweep:
         lines = open(out).read().strip().splitlines()
         assert len(lines) == 1 + 3 * 2
 
-    def test_parallel_output_identical(self, tmp_path):
-        # 5 x 9 points make two chunks, so two workers run where two CPUs are.
-        args = ["benchmark-sweep", "--alpha-min", "0.9", "--alpha-max", "1.1",
-                "--beta-min", "0.8", "--beta-max", "1.2", "--step", "0.05",
-                "--steps", "200"]
-        one, eight = tmp_path / "p1.csv", tmp_path / "p8.csv"
-        assert main(args + ["--parallel", "1", "--output", str(one)]) == 0
-        assert main(args + ["--parallel", "8", "--output", str(eight)]) == 0
-        assert open(one, "rb").read() == open(eight, "rb").read()
-
 
 class TestHopping:
     def test_trace_row_count_and_files(self, tmp_path):
@@ -604,17 +603,18 @@ class TestExitCodes:
             ["identify", "--train-steps", "0"],
             ["benchmark-sweep", "--dt", "0"],
             ["benchmark-sweep", "--steps", "1"],
-            ["benchmark-sweep", "--parallel", "0"],
+            ["benchmark-sweep", "--parallel", "2"],
             ["identify", "--dt", "inf"],
             ["identify", "--theta", "inf,1,1"],
             ["identify", "--ridge", "inf"],
             ["benchmark-sweep", "--dt", "nan"],
             ["benchmark-sweep", "--x0", "nan,1"],
             ["benchmark-sweep", "--alpha-max", "inf"],
+            ["identify", "--train-steps", "abc"],
         ],
         ids=["ridge", "theta", "theta-grid", "identify-dt", "train-steps-zero", "sweep-dt",
              "sweep-steps", "sweep-parallel", "identify-dt-inf", "theta-inf", "ridge-inf",
-             "sweep-dt-nan", "sweep-x0-nan", "sweep-alpha-max-inf"],
+             "sweep-dt-nan", "sweep-x0-nan", "sweep-alpha-max-inf", "train-steps-abc"],
     )
     def test_out_of_range_flags_are_usage_errors(self, tmp_path, capsys, argv):
         csv, out = tmp_path / "lin.csv", tmp_path / "out"
