@@ -162,9 +162,10 @@ def _sweep_row(f: conjugacy.PreparedSystem, p: BenchmarkParams, alpha, beta) -> 
     alpha, beta = float(alpha), float(beta)
     try:
         g = conjugacy.prepare(*benchmark_system(replace(p, alpha=alpha, beta=beta), "g"))
-        report = conjugacy.compare_prepared(f, g, "f")
-        c, devs = report.corners, report.deviations
-        c_gap = float(np.linalg.norm(c.c_r1 - c.c_r2) / np.linalg.norm(c.c_r2))
+        solved = conjugacy.solve_prepared(f, g, "f")
+        c, devs = solved.corners, solved.deviations
+        c_r2 = c.c_r2
+        c_gap = float(np.linalg.norm(c.c_r1 - c_r2) / np.linalg.norm(c_r2))
         values = (devs.d_min, devs.d_avg, devs.d_max,
                   c.r1_at_cr1, c.r2_at_cr1, c.r1_at_cr2, c.r2_at_cr2, c_gap, "")
     except Exception as exc:  # per-point failures become rows, not aborts
@@ -181,11 +182,14 @@ def sweep(
     """Deviation table over an (alpha, beta) grid, one row per point, sorted by (alpha, beta).
 
     The sweep runs in one process. System f depends on neither alpha nor
-    beta, so it is built, prepared and factorized once, and every point
-    compares against it. Each point builds only g, and a failure there
-    becomes its row. ``parallel`` must be 1 (else ValueError); it is kept
-    only for ``bench/workloads.py``, and the next change to the benchmark
-    harness removes it.
+    beta, so it is built and prepared once, before the loop: a failure
+    there raises. Each point builds only g and runs the eigenfunction-space
+    solve, ``conjugacy.solve_prepared``, against f: the row reports nothing
+    from observable space, so no pinv(Psi_f), Omega^-1 or fit runs, and
+    none can fail or warn. A failure at a point becomes its row.
+    ``parallel`` must be 1 (else ValueError); it is kept only for
+    ``bench/workloads.py``, and the next change to the benchmark harness
+    removes it.
     """
     if parallel != 1:
         raise ValueError(f"the sweep runs in one process: parallel must be 1, got {parallel}")
@@ -194,9 +198,6 @@ def sweep(
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("sweep ranges must be nonempty")
     f = conjugacy.prepare(*benchmark_system(p, "f"))
-    # Factorize f before the loop: a failure here raises, where inside the
-    # loop it would become every point's row.
-    f.pinv_psi
     rows = [_sweep_row(f, p, a, b) for a in alphas for b in betas]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows

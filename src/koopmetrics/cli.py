@@ -208,9 +208,10 @@ def cmd_compare(args) -> int:
     if args.emit_matrices:
         t_lsq = phi_b.psi @ a.pinv_psi[0]
         del a, b  # peak memory: their Phi and pinv(Psi_a) are not used again
-        cs = {"C_r1": corners.c_r1, "C_r2": corners.c_r2}
+        # C_r2 as (permutation, gamma): recover_t gathers rows of W_a for it.
         ts = {f"T_{k}": conjugacy.recover_t(c, rec_a.model, rec_b.model, report.omega_inv[f"T_{k}"])
-              for k, c in cs.items()}
+              for k, c in (("C_r1", corners.c_r1), ("C_r2", (corners.permutation, corners.gamma)))}
+        cs = {"C_r1": corners.c_r1, "C_r2": corners.c_r2}
         io.save_matrices({**cs, **ts, "T_LSQ": t_lsq}, args.emit_matrices)
         doc["matrices"] = _file_entry(args.emit_matrices)
     doc["timings"] = {"totalSeconds": time.perf_counter() - started}

@@ -32,7 +32,8 @@ C_r2 = Gamma P is a permutation with unit phases, and ``compare`` works with
 it in that form, (permutation, gamma), never as a dense operand: row k of
 C_r2 X is gamma_k X[pi^-1[k]], r2(C_r2) = ||lambda_f - lambda_g[pi]|| in
 closed form (its bracket is that diagonal), and its unitarity defect is
-||(|gamma|^2 - 1)|| / sqrt(n). ``ParetoCorners.c_r2`` builds it densely on demand.
+||(|gamma|^2 - 1)|| / sqrt(n). ``recover_t`` takes it in that form too;
+``ParetoCorners.c_r2`` builds it densely on demand.
 
 Real systems run in real arithmetic. Each model holds W_b = Q W and
 R_b = R Q* in its own basis (``linalg.EigenBasis``; Q = I for a complex
@@ -48,18 +49,24 @@ basis through the 2x2 blocks of Q D Q*; reported C's and gamma are complex.
 
 The work splits into per-system and per-pair parts. ``prepare`` does the
 per-system part once: Phi_b, in O(n T); the complex spectrum is the
-model's own. One factorization depends on the reference system f alone,
-pinv(Psi_f) for T_LSQ. A ``PreparedSystem`` computes it on first use and
-keeps it, so a system that only plays g factorizes nothing.
-``compare_prepared`` does the rest for each pair: the Procrustes SVD, the
-assignment, gamma as an O(n T) diagonal, M, Omega^-1, the fits and every
-residual. ``compare`` is the two together, for a single pair.
+model's own. The per-pair part splits where the pull-back to observable
+space begins. ``solve_prepared`` stays in eigenfunction space: the
+Procrustes SVD, the assignment, gamma as an O(n T) diagonal, both
+unitarity checks, the four residuals and the deviations; it factorizes
+nothing but Phi_g Phi_f*. ``compare_prepared`` is that solve followed by
+the observable-space part, which continues from the solve's C_r1 and
+singular values: pinv(Psi_f), M, Omega^-1, the fits and the operator
+residuals. pinv(Psi_f) depends on the reference system f alone; a
+``PreparedSystem`` computes it on first use and keeps it, so a system that
+only plays g factorizes nothing. ``compare`` is ``prepare`` and
+``compare_prepared`` together, for a single pair.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -448,9 +455,18 @@ def recover_t(c, model_f: KoopmanModel, model_g: KoopmanModel, omega_inv) -> np.
 
     T_C = R_g Omega^-1 C W_f = (Omega W_g)^-1 C W_f, for the Omega^-1 that
     ``compare`` fitted with: ``report.omega_inv["T_C_r1"]`` for C_r1,
-    ``["T_C_r2"]`` for C_r2. Built in complex arithmetic, forming no M.
+    ``["T_C_r2"]`` for C_r2. ``c`` is a dense C, or C_r2 as its
+    (permutation, gamma): C_r2 W_f is then the row gather
+    gamma_k W_f[pi^-1[k]], in O(n^2) instead of an n^3 product. Built in
+    complex arithmetic, forming no M.
     """
-    return _pull_back(np.asarray(omega_inv), np.asarray(c) @ model_f.W, model_g.R, COMPLEX_BASIS)
+    if isinstance(c, tuple):
+        permutation, gamma = c
+        c_w_f = model_f.W[np.argsort(permutation)]
+        c_w_f *= np.asarray(gamma)[:, None]
+    else:
+        c_w_f = np.asarray(c) @ model_f.W
+    return _pull_back(np.asarray(omega_inv), c_w_f, model_g.R, COMPLEX_BASIS)
 
 
 def _pull_back(omega_inv, c_x, r_g, basis_g: EigenBasis) -> np.ndarray:
@@ -522,45 +538,65 @@ def compare(
 
     ``compare_prepared`` of the two prepared systems; see there. To compare
     one system f against several g's, prepare f once and call
-    ``compare_prepared`` directly.
+    ``compare_prepared`` directly, or ``solve_prepared`` for the deviations
+    alone.
     """
     return compare_prepared(prepare(model_f, phi_f), prepare(model_g, phi_g), normalization)
 
 
-def compare_prepared(
-    f: PreparedSystem, g: PreparedSystem, normalization: str = "none"
-) -> ConjugacyReport:
-    """Deviation-from-conjugacy comparison of two prepared systems.
+class PairSolve(NamedTuple):
+    """The eigenfunction-space solve of one pair; see ``solve_prepared``.
 
-    Solves both corner transformations, evaluates the four residuals
-    (optionally divided by the reference system's ||Phi||_F and ||Lambda||_F
-    when ``normalization`` is "f" or "g"), forms the deviation triple, and
-    reports the residuals of the observable-space transforms T_C and T_LSQ
-    without forming T_C. Both corners are always computed; coincidence is
-    reported through the numbers rather than assumed. C_r2 enters every
-    step as (permutation, gamma), and the operator residuals come from the
-    eigenbasis, which needs no K; each system runs in its model's own basis.
-    See the module docstring. Only f's factorization, pinv(Psi_f), is used,
-    and it is computed on f's first comparison; everything else is per pair.
+    ``ref_norms`` and ``unitarity_defects`` are as in ``ConjugacyReport``
+    and ``CompareDiagnostics``. The rest is what ``compare_prepared``
+    continues from, unpacking the tuple so that nothing else holds its
+    n x n arrays: ``c1_b``, C_r1 in the models' bases (Q_g C_r1 Q_f*),
+    and ``c1_rows``, C_r1 with the rows of g's complex eigenbasis and the
+    columns of f's basis; ``sigma``, the descending singular values of
+    Phi_g Phi_f* from the SVD that gave C_r1; the brackets
+    C* Lambda_g C - Lambda_f of C_r1 (n x n, in the bases) and of C_r2 (its
+    diagonal, lambda_f - lambda_g[pi]); and ``inv_pi``, the inverse
+    permutation: row k of C_r2 X is gamma_k X[inv_pi[k]].
+    """
+
+    corners: ParetoCorners
+    deviations: DeviationTriple
+    ref_norms: tuple[float, float]
+    unitarity_defects: dict[str, float]
+    c1_b: np.ndarray
+    c1_rows: np.ndarray
+    sigma: np.ndarray
+    bracket_c1: np.ndarray
+    bracket_c2: np.ndarray
+    inv_pi: np.ndarray
+
+
+def solve_prepared(
+    f: PreparedSystem, g: PreparedSystem, normalization: str = "none"
+) -> PairSolve:
+    """Both corner transformations of a pair and their deviations, in eigenfunction space.
+
+    Solves C_r1 by one Procrustes SVD and C_r2 as (permutation, gamma),
+    checks both for unitarity, evaluates the four residuals (optionally
+    divided by the reference system's ||Phi||_F and ||Lambda||_F when
+    ``normalization`` is "f" or "g") and forms the deviation triple. Both
+    corners are always computed; coincidence is reported through the
+    numbers rather than assumed. Nothing here reads Psi, W or R: no
+    observable-space step runs, so none can fail or warn.
     """
     if normalization not in ("none", "f", "g"):
         raise ValueError(f"normalization must be 'none', 'f' or 'g', got {normalization!r}")
-    phi_f, phi_g = f.trajectory, g.trajectory
-    pf, pg = phi_f.phi, phi_g.phi
+    pf, pg = f.trajectory.phi, g.trajectory.phi
     if pf.shape != pg.shape:
         raise ValueError(
             f"systems must share dimensions, got {pf.shape} vs {pg.shape}"
         )
     n = pf.shape[0]
     lf, lg = f.model.lambdas, g.model.lambdas
-    # Arrays with a _b suffix are in the models' bases: real canonical or complex.
-    bf, w_f_b, r_f_b = f.model.basis, f.model.W_b, f.model.R_b
-    bg, w_g_b, r_g_b = g.model.basis, g.model.W_b, g.model.R_b
+    bf, bg = f.model.basis, g.model.basis
     c1_b, sigma = solve_c_r1(f.phi_b, g.phi_b, return_singular_values=True)
     c1_rows = bg.rows_out(c1_b)
-    c1 = bf.cols_out(c1_rows)
     pi = solve_permutation(lf, lg)
-    # Row k of C_r2 X is gamma_k X[inv_pi[k]].
     inv_pi = np.argsort(pi)
     gamma = solve_gamma(pf, pg, pi)
 
@@ -576,7 +612,6 @@ def compare_prepared(
         raise ValueError("reference system has zero norm; cannot normalize")
 
     bracket_c1, defect_c1 = _spectral_bracket(lf, lg, c1_b, bf, bg)
-    operator_c1 = _operator_residual(r_f_b, w_f_b, bracket_c1, bf)
     # C_r2* C_r2 = diag(|gamma[pi]|^2): unitarity_defect(C_r2) in O(n). With
     # unit-modulus gamma, C_r2* Lambda_g C_r2 = diag(lambda_g[pi]).
     defect_c2 = _checked_unitary(
@@ -584,7 +619,7 @@ def compare_prepared(
     )
     bracket_c2 = lf - lg[pi]
     corners = ParetoCorners(
-        c_r1=c1,
+        c_r1=bf.cols_out(c1_rows),
         permutation=pi,
         gamma=gamma,
         r1_at_cr1=residual_r1(f.phi_b, g.phi_b, c1_b) / phi_norm,
@@ -592,7 +627,40 @@ def compare_prepared(
         r1_at_cr2=float(np.linalg.norm(pg - gamma[:, None] * pf[inv_pi])) / phi_norm,
         r2_at_cr2=float(np.linalg.norm(bracket_c2)) / lam_norm,
     )
-    deviations = pareto_deviations(corners)
+    return PairSolve(
+        corners, pareto_deviations(corners), (phi_norm, lam_norm),
+        {"C_r1": defect_c1, "C_r2": defect_c2},
+        c1_b, c1_rows, sigma, bracket_c1, bracket_c2, inv_pi,
+    )
+
+
+def compare_prepared(
+    f: PreparedSystem, g: PreparedSystem, normalization: str = "none"
+) -> ConjugacyReport:
+    """Deviation-from-conjugacy comparison of two prepared systems.
+
+    ``solve_prepared``, then the observable-space part: the residuals of
+    the transforms T_C and T_LSQ, without forming T_C, and the diagnostics.
+    That part continues from the solve's C_r1, brackets and singular
+    values, and computes nothing the solve did. C_r2 enters every step as
+    (permutation, gamma), and the operator residuals come from the
+    eigenbasis, which needs no K; each system runs in its model's own
+    basis. See the module docstring. Only f's factorization, pinv(Psi_f),
+    is used, and it is computed on f's first comparison; everything else
+    is per pair.
+    """
+    # Peak memory: the solve's n x n arrays live on in locals alone, each
+    # deleted after its last use.
+    (corners, deviations, ref_norms, defects, c1_b, c1_rows, sigma,
+     bracket_c1, bracket_c2, inv_pi) = solve_prepared(f, g, normalization)
+    phi_f, phi_g = f.trajectory, g.trajectory
+    pf = phi_f.phi
+    n = pf.shape[0]
+    gamma, lf, lg = corners.gamma, f.model.lambdas, g.model.lambdas
+    # Arrays with a _b suffix are in the models' bases: real canonical or complex.
+    bf, w_f_b, r_f_b = f.model.basis, f.model.W_b, f.model.R_b
+    bg, w_g_b, r_g_b = g.model.basis, g.model.W_b, g.model.R_b
+    operator_c1 = _operator_residual(r_f_b, w_f_b, bracket_c1, bf)
     del bracket_c1
 
     def fit(t_psi_f) -> float:
@@ -640,7 +708,7 @@ def compare_prepared(
     del t_psi_f, c_w_psi_f
     procrustes_rank = numerical_rank(sigma)
     diagnostics = CompareDiagnostics(
-        unitarity_defects={"C_r1": defect_c1, "C_r2": defect_c2},
+        unitarity_defects=defects,
         assignment_cost=float(np.sum(np.abs(bracket_c2) ** 2)),
         lsq_rank=lsq_rank,
         omega_replaced=replaced,
@@ -656,7 +724,7 @@ def compare_prepared(
         corners=corners,
         deviations=deviations,
         normalization=normalization,
-        ref_norms=(phi_norm, lam_norm),
+        ref_norms=ref_norms,
         diagnostics=diagnostics,
         psi_residuals=residuals,
         omega_inv=omega_inv,

@@ -1,4 +1,5 @@
 """Analytic benchmark pair: generators, trajectories, sweep, published values."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,20 +255,41 @@ class TestSweep:
         rows = sweep([0.9, 1.0], [0.95, 1.1], p)
         monkeypatch.undo()
         assert calls.count("f") == 1 and calls.count("g") == 4
-        # One Procrustes SVD per point, and f's one pseudoinverse, pinv(Psi_f), once.
-        assert len(svds) == 4 + 1
+        # One Procrustes SVD per point and no pinv(Psi_f): the sweep stays in
+        # eigenfunction space.
+        assert svds == [(3, 3)] * 4
         for alpha, beta, *values in rows:
-            devs = compare_pair(replace(p, alpha=alpha, beta=beta)).deviations
-            assert tuple(values[:3]) == (devs.d_min, devs.d_avg, devs.d_max)
+            report = compare_pair(replace(p, alpha=alpha, beta=beta))
+            devs, c = report.deviations, report.corners
+            assert tuple(values[:7]) == (devs.d_min, devs.d_avg, devs.d_max, c.r1_at_cr1,
+                                         c.r2_at_cr1, c.r1_at_cr2, c.r2_at_cr2)
 
-    def test_f_factorization_failure_raises(self, monkeypatch):
-        # f is factorized before the loop, so its failure is the sweep's, not every row's.
+    def test_f_build_failure_raises(self, monkeypatch):
+        # f is built before the loop, so its failure is the sweep's, not every row's.
+        def failing(*args, **kwargs):
+            raise FactorizationError("synthetic decompose failure")
+
+        monkeypatch.setattr(benchmark, "decompose", failing)
+        with pytest.raises(FactorizationError, match="synthetic decompose failure"):
+            sweep([0.9, 1.0], [1.0], BenchmarkParams(steps=200))
+
+    def test_rows_need_no_pseudoinverse(self, monkeypatch):
         def failing(*args, **kwargs):
             raise FactorizationError("synthetic pinv failure")
 
         monkeypatch.setattr(conjugacy, "pinv", failing)
-        with pytest.raises(FactorizationError, match="synthetic pinv failure"):
-            sweep([0.9, 1.0], [1.0], BenchmarkParams(steps=200))
+        rows = sweep([0.9, 1.0], [0.95, 1.1], BenchmarkParams(steps=200))
+        assert len(rows) == 4 and all(row[-1] == "" for row in rows)
+        assert not np.isnan(np.array([row[2:-1] for row in rows])).any()
+
+    def test_no_observable_space_warning_fails_a_row(self):
+        # compare replaces an entry of T_C_r2's Omega^-1 at this point and
+        # warns; the sweep reports no T_C and forms no Omega^-1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep([2.0], [1.55], BenchmarkParams(x0=(1.1, 0.4)))
+        assert rows[0][-1] == ""
+        assert rows[0][2] <= rows[0][3] <= rows[0][4]
 
     def test_smooth_near_conjugacy(self):
         alphas = [0.99, 1.0, 1.01]

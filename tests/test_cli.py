@@ -361,10 +361,11 @@ class TestCompare:
 
         # The matrices file holds the library's transforms bit for bit, each
         # in the dtype it is held in, and the report records its hash: each
-        # T_C from compare's Omega^-1, and T_LSQ as lsq_transform gives it.
+        # T_C from compare's Omega^-1, T_C_r2 from C_r2 as (permutation,
+        # gamma), and T_LSQ as lsq_transform gives it.
         want = {"C_r1": c.c_r1, "C_r2": c.c_r2}
-        for name in ("C_r1", "C_r2"):
-            want[f"T_{name}"] = conjugacy.recover_t(want[name], rec_a.model, rec_b.model,
+        for name, c_in in (("C_r1", c.c_r1), ("C_r2", (c.permutation, c.gamma))):
+            want[f"T_{name}"] = conjugacy.recover_t(c_in, rec_a.model, rec_b.model,
                                                     report.omega_inv[f"T_{name}"])
         want["T_LSQ"] = conjugacy.lsq_transform(phi_a.psi, phi_b.psi)
         assert doc["matrices"] == {"path": str(matrices_path),

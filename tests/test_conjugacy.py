@@ -27,6 +27,7 @@ from koopmetrics.conjugacy import (
     solve_c_r2,
     solve_gamma,
     solve_permutation,
+    solve_prepared,
 )
 from koopmetrics.koopman import eigenfunction_trajectories, reconstruct_observables
 from koopmetrics.linalg import conjugate_basis, numerical_rank, pinv, svd, unitarity_defect
@@ -643,6 +644,25 @@ class TestPrepared:
         for old, new in zip(before, after):
             np.testing.assert_array_equal(new, old)
 
+    @pytest.mark.parametrize("make, n_steps", [(random_system, 24), (real_system, 24),
+                                               (random_system, 6)])
+    def test_compare_continues_from_the_solve(self, rng, make, n_steps):
+        # compare_prepared is solve_prepared followed by the observable-space
+        # part: its corners and deviations are the solve's, bit for bit.
+        f, g = (prepare(*make(rng, 10, n_steps)) for _ in range(2))
+        solved = solve_prepared(f, g, "f")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = compare_prepared(f, g, "f")
+        for name in ("c_r1", "permutation", "gamma"):
+            np.testing.assert_array_equal(getattr(report.corners, name),
+                                          getattr(solved.corners, name))
+        for name in ("r1_at_cr1", "r2_at_cr1", "r1_at_cr2", "r2_at_cr2"):
+            assert getattr(report.corners, name) == getattr(solved.corners, name)
+        assert report.deviations == solved.deviations
+        assert report.ref_norms == solved.ref_norms
+        assert report.diagnostics.unitarity_defects == solved.unitarity_defects
+
     def test_system_used_only_as_g_computes_no_pseudoinverse(self, rng, monkeypatch):
         (model_f, phi_f), (model_g, phi_g) = random_system(rng, 8, 20), random_system(rng, 8, 20)
         f, g = prepare(model_f, phi_f), prepare(model_g, phi_g)
@@ -728,6 +748,23 @@ class TestPsiSpace:
         np.testing.assert_array_equal(omega_inv, held)
         want = (model_g.R * omega_inv) @ report.corners.c_r2 @ model_f.W
         assert np.linalg.norm(t - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("make", [random_system, real_system])
+    def test_recover_t_gathers_c_r2_rows(self, rng, make):
+        # C_r2 given as (permutation, gamma) is pulled back through the row
+        # gather gamma_k W_f[pi^-1[k]]; the dense product C_r2 W_f agrees to
+        # n eps ||C_r2 W_f||_F, carried through R_g Omega^-1.
+        (model_f, phi_f), (model_g, phi_g) = make(rng, 12, 30), make(rng, 12, 30)
+        report = compare(model_f, phi_f, model_g, phi_g, "f")
+        c = report.corners
+        omega_inv = report.omega_inv["T_C_r2"]
+        got = recover_t((c.permutation, c.gamma), model_f, model_g, omega_inv)
+        c_w_f = c.c_r2 @ model_f.W
+        want = model_g.R @ (omega_inv[:, None] * c_w_f)
+        n = model_f.n_psi
+        tol = (n * np.finfo(float).eps * np.linalg.norm(c_w_f)
+               * np.linalg.norm(model_g.R * omega_inv))
+        assert np.linalg.norm(got - want) <= tol
 
     @pytest.mark.parametrize("n_steps", [6, 30])
     def test_lsq_trajectory_residual(self, rng, n_steps):
