@@ -1,4 +1,5 @@
 """Analytic benchmark pair: generators, trajectories, sweep, published values."""
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -60,13 +61,73 @@ class TestGenerators:
         np.testing.assert_allclose(k_g, expected, atol=1e-15)
 
 
+class TestParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 10.5),
+            ("steps", True),
+            ("steps", 1),
+            ("dt", float("nan")),
+            ("dt", float("inf")),
+            ("dt", 0.0),
+            ("alpha", float("nan")),
+            ("beta", -float("inf")),
+            ("mu", complex(float("nan"), 1.0)),
+            ("lam", complex(-0.1, float("inf"))),
+            ("x0", (float("nan"), 0.5)),
+            ("x0", (1.0,)),
+            ("x0", 1.0),
+            ("y0", (0.0, float("inf"))),
+        ],
+    )
+    def test_invalid_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must ") as info:
+            BenchmarkParams(**{field: value})
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"steps": np.int64(5)}, {"y0": (0.0, -1.0)}, {"alpha": 1e308, "beta": 1e308},
+         {"x0": np.array([2.0, 1.0])}],
+        ids=["numpy-steps", "y0", "finite-sum-overflows", "array-x0"],
+    )
+    def test_valid_fields_off_the_common_path_accepted(self, fields):
+        p = BenchmarkParams(**fields)
+        assert all(getattr(p, name) is value for name, value in fields.items())
+
+
 class TestSimulate:
     def test_zero_generator_constant_columns(self):
-        p = BenchmarkParams(steps=2)
         # a zero generator is defective-free but eig of 0 has repeated
         # eigenvalues with identity eigenvectors, which is fine
-        obs = simulate_observables(eig(np.zeros((3, 3), dtype=complex)), p, "f")
-        np.testing.assert_array_equal(obs.psi[:, 0], obs.psi[:, 1])
+        gen = eig(np.zeros((3, 3), dtype=complex))
+        for steps in (2, 200, 1025):
+            obs = simulate_observables(gen, BenchmarkParams(steps=steps), "f")
+            np.testing.assert_array_equal(obs.psi, np.repeat(obs.psi[:, :1], steps, axis=1))
+
+    @pytest.mark.parametrize("steps", [2, 3, 4, 200, 999, 1000, 1024, 1025])
+    @pytest.mark.parametrize("system", ["f", "g"])
+    def test_exponential_table_matches_direct_formula(self, steps, system):
+        # Identity eigenvectors make Psi the modes themselves, scaled by the
+        # initial observables, so the table is checked entry by entry.
+        block = int(np.ceil(np.sqrt(steps)))
+        for alpha, beta in itertools.product((0.1, 1.0, 2.0), repeat=2):
+            p = BenchmarkParams(alpha=alpha, beta=beta, steps=steps)
+            times = np.arange(steps) * p.dt
+            lambdas = eig(analytic_generators(p)["fg".index(system)]).lambdas
+            gen = linalg.EigResult(lambdas=lambdas, W_b=np.eye(3, dtype=complex),
+                                   condition_number=3.0)
+            psi = simulate_observables(gen, p, system).psi
+            coeffs = benchmark._initial_observables(p, system)
+            np.testing.assert_array_equal(psi[:, 0], coeffs)
+            direct = np.exp(np.outer(lambdas, times)) * coeffs[:, None]
+            # Columns k = block * a reuse the direct formula's exponentials.
+            np.testing.assert_array_equal(psi[:, ::block], direct[:, ::block])
+            # t_(Ba) + t_b differs from t_(Ba+b) by an ulp of t_max, which
+            # the exponential scales by |lambda|; each product adds an eps.
+            bound = 4 * np.finfo(float).eps * (1 + np.abs(lambdas).max() * times[-1])
+            assert np.max(np.abs(psi / direct - 1)) <= bound
 
     def test_first_row_is_exponential_mode(self):
         p = BenchmarkParams(steps=200)
