@@ -6,9 +6,11 @@ knobs alpha (on mu) and beta (on lambda) that pull it off conjugacy. Both
 systems have exact finite Koopman generators on the dictionaries
 [x1, x2, x1^2] and [y1, y2, (y1+y2)^2], so trajectories are synthesized
 from the generator's eigendecomposition, with no integration error: the
-modes e^(lambda t_k) come from a two-level table of 2 ceil(sqrt(T))
+modes c e^(lambda t_k) come from a two-level table of 2 ceil(sqrt(T))
 exponentials per eigenvalue, within 4 eps (1 + max|lambda| t_max) relative
-of one exponential per sample.
+of one exponential per sample. Phi is the row-normalized modes themselves;
+Psi = R @ modes is carried for the observable-space fits, and no W @ Psi
+product runs.
 
 The spectral side of the comparison uses the generator eigenvalues directly
 (mu, lambda, 2 mu and their alpha/beta-scaled counterparts). Sampling-time
@@ -25,13 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import conjugacy
-from .koopman import (
-    EigenfunctionTrajectory,
-    KoopmanModel,
-    ObservableMatrix,
-    decompose,
-    eigenfunction_trajectories,
-)
+from .koopman import EigenfunctionTrajectory, KoopmanModel, decompose, normalized_trajectory
 from .linalg import EigResult
 
 SWEEP_COLUMNS = (
@@ -151,46 +147,39 @@ def _initial_observables(p: BenchmarkParams, system: str) -> np.ndarray:
     raise ValueError(f"system must be 'f' or 'g', got {system!r}")
 
 
-def simulate_observables(
-    gen: EigResult, p: BenchmarkParams, system: str = "f"
-) -> ObservableMatrix:
-    """Sample the observable trajectory under a generator, given as eig(K).
+def analytic_modes(gen: EigResult, p: BenchmarkParams, system: str) -> np.ndarray:
+    """Exact eigenfunction samples c_j e^(lambda_j t_k) under a generator, given as eig(K).
 
-    Column k holds the observables at time t_k = k*dt, evolved through the
-    eigendecomposition of the generator. With B = ceil(sqrt(T)) and
-    k = B a + b, the mode e^(lambda t_k) is e^(lambda t_(Ba)) e^(lambda t_b):
-    2B complex exponentials per eigenvalue instead of T. Each mode is within
+    c = W psi(0) and t_k = k*dt. With B = ceil(sqrt(T)) and k = B a + b,
+    e^(lambda t_k) is e^(lambda t_(Ba)) e^(lambda t_b): 2B complex
+    exponentials per eigenvalue instead of T. Each mode is within
     4 eps (1 + max|lambda| t_max) relative of e^(lambda t_k) evaluated
     directly, and equal to it bit for bit at b = 0, column 0 included; a
-    zero generator gives exactly constant columns. The three-observable
-    dictionary is used as is: no constant row and no auxiliary features.
+    zero generator gives exactly constant columns. A mode that overflows
+    float64 raises ValueError.
     """
     coeffs = gen.W @ _initial_observables(p, system)
     times = np.arange(p.steps) * p.dt
     block = math.isqrt(p.steps - 1) + 1  # ceil(sqrt(steps))
-    fine = np.exp(np.outer(gen.lambdas, times[:block]))
-    coarse = np.exp(np.outer(gen.lambdas, times[::block])) * coeffs[:, None]
-    modes = (coarse[:, :, None] * fine[:, None, :]).reshape(coeffs.size, -1)
-    psi = gen.R @ modes[:, : p.steps]
-    names = ("x1", "x2", "x1^2") if system == "f" else ("y1", "y2", "(y1+y2)^2")
-    return ObservableMatrix(
-        psi=psi,
-        names=names,
-        has_constant=False,
-        n_primary=3,
-        aux=None,
-        train_snapshots=None,
-        dt=p.dt,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        fine = np.exp(np.outer(gen.lambdas, times[:block]))
+        coarse = np.exp(np.outer(gen.lambdas, times[::block])) * coeffs[:, None]
+        modes = (coarse[:, :, None] * fine[:, None, :]).reshape(coeffs.size, -1)[:, : p.steps]
+    # |e^(lambda t)| is monotone in t, so a row overflows iff its last sample does.
+    if not np.all(np.isfinite(modes[:, -1])):
+        growth = float(np.max(gen.lambdas.real)) * times[-1]
+        raise ValueError(f"a mode overflows float64: max Re(lambda) t_max = {growth:.6g}")
+    return modes
 
 
 def benchmark_system(
     p: BenchmarkParams, system: str
 ) -> tuple[KoopmanModel, EigenfunctionTrajectory]:
-    """Generator-spectrum model plus sampled eigenfunction trajectory, which carries Psi."""
+    """Generator-spectrum model plus its trajectory: Phi from the modes, Psi = R @ modes."""
     k_f, k_g = analytic_generators(p)
     model = decompose(k_f if system == "f" else k_g, p.dt)
-    return model, eigenfunction_trajectories(model, simulate_observables(model, p, system))
+    modes = analytic_modes(model, p, system)
+    return model, normalized_trajectory(modes, model.R @ modes)
 
 
 def compare_pair(p: BenchmarkParams, normalization: str = "f") -> conjugacy.ConjugacyReport:

@@ -4,11 +4,11 @@ The pipeline is: raw primary series (states, controls, handpicked nonlinear
 observables) -> observable matrix with a constant row and kernel-correlation
 auxiliary rows -> operator K from ridge-regularized least squares on the
 one-step shift -> eigenfunction trajectories Phi = diag(scales) @ W @ Psi,
-where W holds the left eigenvectors of K and each Phi row is rescaled so its
-largest modulus over the trajectory is exactly one. Phi is always taken
-from data: ``build_observables`` is deterministic, so a saved model, which
-keeps its training series and theta, re-lifts the Psi it was fitted on bit
-for bit (``io.ModelRecord.implied_trajectory``).
+where W holds the left eigenvectors of K and ``normalized_trajectory``
+rescales each row to unit maximum modulus. ``build_observables`` is
+deterministic, so a saved model re-lifts the Psi it was fitted on bit for
+bit (``io.ModelRecord.implied_trajectory``). The analytic benchmark passes
+its exact modes as W @ Psi, with Psi = R @ modes.
 
 Auxiliary observables are correlation features against the stored training
 snapshots: feature j of column n is
@@ -318,31 +318,37 @@ def decompose(K, dt: float, ridge: float = 0.0) -> KoopmanModel:
                         condition_number=res.condition_number, ridge=float(ridge), dt=float(dt))
 
 
+def normalized_trajectory(raw: np.ndarray, psi: np.ndarray) -> EigenfunctionTrajectory:
+    """Phi from raw eigenfunction samples W @ Psi, each row divided by its maximum modulus.
+
+    Rows that never rise above DEGENERATE_ROW_TOL are left unscaled and
+    flagged rather than amplified; a non-finite sample raises ValueError.
+    """
+    max_mod = np.max(np.abs(raw), axis=1)
+    if not np.all(np.isfinite(max_mod)):
+        raise ValueError("eigenfunction samples contain non-finite entries")
+    degenerate = max_mod < DEGENERATE_ROW_TOL
+    scales = 1.0 / np.where(degenerate, 1.0, max_mod)
+    return EigenfunctionTrajectory(
+        phi=raw * scales[:, None], scales=scales, psi=psi,
+        degenerate_rows=tuple(int(i) for i in np.flatnonzero(degenerate)),
+    )
+
+
 def eigenfunction_trajectories(
     model: KoopmanModel, obs: ObservableMatrix
 ) -> EigenfunctionTrajectory:
-    """Map observables to row-normalized eigenfunction trajectories.
+    """``normalized_trajectory`` of W @ Psi for the observables ``obs``; the model is not changed.
 
-    Each row of W @ Psi is divided by its maximum modulus over the observed
-    steps; rows that never rise above DEGENERATE_ROW_TOL are left unscaled
-    and flagged rather than amplified. The factors used are returned in the
-    trajectory's ``scales`` and ``obs.psi`` in its ``psi``, a read-only view,
-    not a copy; the model is not changed. The product is taken in the
-    model's basis, Q* (W_b @ Psi): for a real model and real observables a
-    real product, whose rows of a conjugate pair come out exact conjugates.
+    The product is taken in the model's basis, Q* (W_b @ Psi): for a real
+    model and real observables a real product, whose rows of a conjugate
+    pair come out exact conjugates.
     """
     if model.n_psi != obs.n_psi:
         raise ValueError(
             f"model dimension {model.n_psi} != observable dimension {obs.n_psi}"
         )
-    raw = model.basis.rows_out(model.W_b @ obs.psi)
-    max_mod = np.max(np.abs(raw), axis=1)
-    degenerate = np.flatnonzero(max_mod < DEGENERATE_ROW_TOL)
-    scales = np.where(max_mod < DEGENERATE_ROW_TOL, 1.0, 1.0 / np.where(max_mod == 0, 1.0, max_mod))
-    phi = raw * scales[:, None]
-    return EigenfunctionTrajectory(
-        phi=phi, scales=scales, psi=obs.psi, degenerate_rows=tuple(int(i) for i in degenerate)
-    )
+    return normalized_trajectory(model.basis.rows_out(model.W_b @ obs.psi), obs.psi)
 
 
 def reconstruct_observables(

@@ -10,11 +10,11 @@ from koopmetrics import benchmark, conjugacy, linalg
 from koopmetrics.benchmark import (
     BenchmarkParams,
     analytic_generators,
+    analytic_modes,
     benchmark_system,
     compare_pair,
     conjugate_h,
     grid_values,
-    simulate_observables,
     sweep,
 )
 from koopmetrics.conjugacy import compare, lsq_transform, recover_t
@@ -103,14 +103,14 @@ class TestSimulate:
         # eigenvalues with identity eigenvectors, which is fine
         gen = eig(np.zeros((3, 3), dtype=complex))
         for steps in (2, 200, 1025):
-            obs = simulate_observables(gen, BenchmarkParams(steps=steps), "f")
-            np.testing.assert_array_equal(obs.psi, np.repeat(obs.psi[:, :1], steps, axis=1))
+            modes = analytic_modes(gen, BenchmarkParams(steps=steps), "f")
+            np.testing.assert_array_equal(modes, np.repeat(modes[:, :1], steps, axis=1))
 
     @pytest.mark.parametrize("steps", [2, 3, 4, 200, 999, 1000, 1024, 1025])
     @pytest.mark.parametrize("system", ["f", "g"])
     def test_exponential_table_matches_direct_formula(self, steps, system):
-        # Identity eigenvectors make Psi the modes themselves, scaled by the
-        # initial observables, so the table is checked entry by entry.
+        # Identity eigenvectors make the coefficients the initial
+        # observables, so the table is checked entry by entry.
         block = int(np.ceil(np.sqrt(steps)))
         for alpha, beta in itertools.product((0.1, 1.0, 2.0), repeat=2):
             p = BenchmarkParams(alpha=alpha, beta=beta, steps=steps)
@@ -118,36 +118,64 @@ class TestSimulate:
             lambdas = eig(analytic_generators(p)["fg".index(system)]).lambdas
             gen = linalg.EigResult(lambdas=lambdas, W_b=np.eye(3, dtype=complex),
                                    condition_number=3.0)
-            psi = simulate_observables(gen, p, system).psi
+            modes = analytic_modes(gen, p, system)
             coeffs = benchmark._initial_observables(p, system)
-            np.testing.assert_array_equal(psi[:, 0], coeffs)
+            assert modes.shape == (3, steps)
+            np.testing.assert_array_equal(modes[:, 0], coeffs)
             direct = np.exp(np.outer(lambdas, times)) * coeffs[:, None]
             # Columns k = block * a reuse the direct formula's exponentials.
-            np.testing.assert_array_equal(psi[:, ::block], direct[:, ::block])
+            np.testing.assert_array_equal(modes[:, ::block], direct[:, ::block])
             # t_(Ba) + t_b differs from t_(Ba+b) by an ulp of t_max, which
             # the exponential scales by |lambda|; each product adds an eps.
             bound = 4 * np.finfo(float).eps * (1 + np.abs(lambdas).max() * times[-1])
-            assert np.max(np.abs(psi / direct - 1)) <= bound
+            assert np.max(np.abs(modes / direct - 1)) <= bound
+
+    @pytest.mark.parametrize("system", ["f", "g"])
+    def test_phi_is_the_row_normalized_modes(self, system):
+        p = BenchmarkParams(alpha=1.3, beta=0.8, steps=300)
+        model, traj = benchmark_system(p, system)
+        modes = analytic_modes(model, p, system)
+        np.testing.assert_array_equal(traj.scales, 1.0 / np.max(np.abs(modes), axis=1))
+        np.testing.assert_array_equal(traj.phi, modes * traj.scales[:, None])
+        np.testing.assert_array_equal(traj.psi, model.R @ modes)
+        assert not traj.degenerate_rows
+
+    def test_vanishing_modes_are_zero_and_degenerate(self):
+        # x1 = 0 zeroes the x1 and x1^2 modes exactly: nothing rounds them up.
+        p = BenchmarkParams(x0=(0.0, 0.5))
+        model, traj = benchmark_system(p, "f")
+        assert traj.degenerate_rows == (0, 2)
+        np.testing.assert_array_equal(traj.phi[[0, 2]], 0.0)
+        np.testing.assert_array_equal(traj.scales[[0, 2]], 1.0)
+        assert np.max(np.abs(traj.phi[1])) == 1.0
+
+    def test_overflowing_mode_is_named_without_warning(self):
+        # Re(2 alpha mu) t_max = 0.004 * 999990: e^4000 overflows float64.
+        p = BenchmarkParams(alpha=-2.0, dt=10.0, steps=100000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                benchmark_system(p, "g")
+        assert str(info.value) == "a mode overflows float64: max Re(lambda) t_max = 3999.96"
 
     def test_first_row_is_exponential_mode(self):
         p = BenchmarkParams(steps=200)
-        k_f, _ = analytic_generators(p)
-        obs = simulate_observables(eig(k_f), p, "f")
+        psi = benchmark_system(p, "f")[1].psi
         t = np.arange(200) * p.dt
         expected = p.x0[0] * np.exp(p.mu * t)
-        np.testing.assert_allclose(obs.psi[0], expected, atol=1e-12)
+        np.testing.assert_allclose(psi[0], expected, atol=1e-12)
 
     def test_square_row_consistency(self):
-        p = BenchmarkParams(steps=150)
-        k_f, _ = analytic_generators(p)
-        obs = simulate_observables(eig(k_f), p, "f")
-        np.testing.assert_allclose(obs.psi[2], obs.psi[0] ** 2, atol=1e-10)
+        psi = benchmark_system(BenchmarkParams(steps=150), "f")[1].psi
+        np.testing.assert_allclose(psi[2], psi[0] ** 2, atol=1e-10)
 
     def test_dictionary_is_bare(self):
+        # [x1, x2, x1^2] alone: no constant row and no auxiliary features.
         p = BenchmarkParams(steps=5)
-        k_f, _ = analytic_generators(p)
-        obs = simulate_observables(eig(k_f), p, "f")
-        assert obs.n_psi == 3 and not obs.has_constant and obs.aux is None
+        psi = benchmark_system(p, "f")[1].psi
+        assert psi.shape == (3, 5)
+        x1, x2 = p.x0
+        np.testing.assert_allclose(psi[:, 0], [x1, x2, x1 ** 2], atol=1e-15)
 
 
 def rk4(f, x0, dt, steps):
@@ -186,11 +214,10 @@ class TestConjugateMap:
 
         y0 = conjugate_h() @ np.asarray(p.x0, dtype=complex)
         states = rk4(g_field, y0, p.dt, p.steps)
-        _, k_g = analytic_generators(p)
-        obs = simulate_observables(eig(k_g), p, "g")
+        psi = benchmark_system(p, "g")[1].psi
         # tolerance is the RK4 truncation error of the |lambda * dt| = 0.1 mode
-        np.testing.assert_allclose(obs.psi[0], states[0], atol=1e-5)
-        np.testing.assert_allclose(obs.psi[1], states[1], atol=1e-5)
+        np.testing.assert_allclose(psi[0], states[0], atol=1e-5)
+        np.testing.assert_allclose(psi[1], states[1], atol=1e-5)
 
 
 class TestPublishedValues:

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior, including exit codes."""
+import csv
 import errno
 import json
 import os
+import warnings
 import zipfile
 
 import numpy as np
@@ -450,6 +452,21 @@ class TestBenchmarkSweep:
                           "r2_cr1", "r1_cr2", "r2_cr2", "c_gap", "error"]
         row = lines[1].split(",")
         assert float(row[2]) < 1e-9 and float(row[4]) < 1e-9
+
+    def test_overflowing_point_is_a_quiet_error_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["benchmark-sweep", "--alpha-min", "-2", "--alpha-max", "-2",
+                 "--beta-min", "1", "--beta-max", "1", "--dt", "10", "--steps", "100000",
+                 "--output", str(out)]
+            )
+        assert code == 0 and not caught
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 1
+        assert rows[0]["error"] == "ValueError: a mode overflows float64: max Re(lambda) t_max = 3999.96"
 
     def test_row_count_matches_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 """Identification pipeline: observables, least squares, eigenfunctions."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from koopmetrics.koopman import (
     holdout_error,
     identify_operator,
     lift_columns,
+    normalized_trajectory,
     reconstruct_observables,
 )
 from koopmetrics.linalg import COMPLEX_BASIS, DiagonalizabilityError, conjugate_basis, eig
@@ -300,6 +302,14 @@ class TestEigenfunctions:
         traj = eigenfunction_trajectories(model, raw_observables(psi))
         assert traj.degenerate_rows == (1,)
         assert traj.scales[1] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_sample_raises(self, bad):
+        raw = np.array([[1.0, 2.0], [0.5, bad]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^eigenfunction samples contain non-finite entries$"):
+                normalized_trajectory(raw, raw)
 
     def test_benchmark_rows_are_geometric(self):
         p = BenchmarkParams(steps=400)
